@@ -92,8 +92,6 @@ let tests =
            ignore (M3v.Exp_fanin.run ~msgs:10 ~sender_counts:[ 4; 16 ] ())));
     Test.make ~name:"shard_sweep" (Staged.stage shard_sweep_small);
     Test.make ~name:"shard_telemetry" (Staged.stage shard_telemetry_small);
-    (* Not in BENCH_baseline.json yet: the compare gate must warn-and-skip
-       it, not fail. *)
     Test.make ~name:"ablation_migrate"
       (Staged.stage (fun () ->
            ignore (M3v.Exp_migrate.run ~rounds:60 ~rates:[ 10_000 ] ())));

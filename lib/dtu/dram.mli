@@ -2,7 +2,12 @@
 
     The store is shared-nothing between tiles; every access arrives as a DTU
     transfer over the NoC.  A busy-until horizon serializes accesses so that
-    concurrent DMA streams contend for DRAM bandwidth. *)
+    concurrent DMA streams contend for DRAM bandwidth.
+
+    The backing is paged: 64 KiB pages, each allocated on its first write
+    (or non-zero [fill]).  Untouched pages read as zeros and cost neither
+    heap nor checkpoint space.  The Linux model's tmpfs uses the same store
+    for its file data. *)
 
 type t
 

@@ -2,6 +2,7 @@ module Engine = M3v_sim.Engine
 module Time = M3v_sim.Time
 module Proc = M3v_sim.Proc
 module Core_model = M3v_tile.Core_model
+module Dram = M3v_dtu.Dram
 module Fs_core = M3v_os.Fs_core
 module Fs_proto = M3v_os.Fs_proto
 module Net_proto = M3v_os.Net_proto
@@ -62,7 +63,7 @@ type t = {
   timeslice : Time.t;
   mutable user_since_syscall : int;  (** cycles of user work since kernel entry *)
   fs : Fs_core.t;
-  store : bytes;
+  store : Dram.t;  (** tmpfs file data, paged like a memory tile's DRAM *)
   procs : (pid, proc_rec) Hashtbl.t;
   mutable next_pid : pid;
   runq : pid Queue.t;
@@ -83,7 +84,7 @@ let create ?(core = Core_model.boom) ?(tmpfs_blocks = 16384)
     timeslice;
     user_since_syscall = 0;
     fs = Fs_core.create ~blocks:tmpfs_blocks ();
-    store = Bytes.make (tmpfs_blocks * Fs_core.block_size) '\000';
+    store = Dram.create ~size:(tmpfs_blocks * Fs_core.block_size) ();
     procs = Hashtbl.create 8;
     next_pid = 1;
     runq = Queue.create ();
@@ -196,7 +197,7 @@ and tmpfs_copy_out t ino ~off ~len ~(buf : buf) ~buf_off =
   let pos = ref buf_off in
   List.iter
     (fun (region_off, l) ->
-      Bytes.blit t.store region_off buf.data !pos l;
+      Dram.read_into t.store ~off:region_off ~dst:buf.data ~dst_off:!pos ~len:l;
       pos := !pos + l)
     segs;
   !pos - buf_off
@@ -206,7 +207,7 @@ and tmpfs_copy_in t ino ~off ~len ~(buf : buf) ~buf_off =
   let pos = ref buf_off in
   List.iter
     (fun (region_off, l) ->
-      Bytes.blit buf.data !pos t.store region_off l;
+      Dram.write t.store ~off:region_off ~src:buf.data ~src_off:!pos ~len:l;
       pos := !pos + l)
     segs;
   !pos - buf_off
@@ -497,7 +498,7 @@ let preload_file t ~path data =
       let pos = ref 0 in
       List.iter
         (fun (region_off, l) ->
-          Bytes.blit data !pos t.store region_off l;
+          Dram.write t.store ~off:region_off ~src:data ~src_off:!pos ~len:l;
           pos := !pos + l)
         segs
 
@@ -511,7 +512,7 @@ let peek_file t ~path =
       let pos = ref 0 in
       List.iter
         (fun (region_off, l) ->
-          Bytes.blit t.store region_off out !pos l;
+          Dram.read_into t.store ~off:region_off ~dst:out ~dst_off:!pos ~len:l;
           pos := !pos + l)
         segs;
       Some out

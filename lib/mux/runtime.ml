@@ -35,6 +35,11 @@ type astate =
   | Migrating  (** installed from a migration image, not yet resumed *)
   | Dead
 
+(* A busy-time accounting bucket ("user", "sys", ...).  Each runtime
+   interns one record per name, and an activity points at its current one,
+   so charging time is an integer add. *)
+type bucket = { bname : string; mutable bucket_ps : int }
+
 type arec = {
   aid : act_id;
   aname : string;
@@ -47,7 +52,7 @@ type arec = {
   mutable wait_eps : int list;
   mutable slice_left : Time.t;
   mutable busy_ps : int;
-  mutable bucket : string;
+  mutable bucket : bucket;
   mutable started : bool;
   mutable wake_sent : bool;  (** M3x: an Mx_wake is outstanding *)
   mutable stall_since : Time.t;
@@ -104,6 +109,8 @@ type t = {
   tm_queue : (Msg.data * int * (Msg.t -> unit)) Queue.t;
   mutable next_ppage : int;
   counters : Stats.Counter.t;
+  buckets : (string, bucket) Hashtbl.t;
+  mux_bucket : bucket;
   mutable mux_busy_ps : int;
   mutable run_since : Time.t;  (** when the current activity got the core *)
   mutable wd_epoch : int;
@@ -123,7 +130,19 @@ let find t aid =
 
 let busy_of t aid = (find t aid).busy_ps
 
-let busy_of_bucket t bucket = Stats.Counter.get t.counters ("bucket/" ^ bucket)
+let bucket t name =
+  match Hashtbl.find_opt t.buckets name with
+  | Some b -> b
+  | None ->
+      let b = { bname = name; bucket_ps = 0 } in
+      Hashtbl.add t.buckets name b;
+      b
+
+(* Bucket sums are integers below 2^53, so the float is exact. *)
+let busy_of_bucket t name =
+  match Hashtbl.find_opt t.buckets name with
+  | Some b -> float_of_int b.bucket_ps
+  | None -> 0.0
 
 let finished t aid = (find t aid).st = Dead
 
@@ -137,7 +156,7 @@ let charge_act t (a : arec) cycles k =
   else begin
     let d = Core_model.cycles t.core cycles in
     a.busy_ps <- a.busy_ps + d;
-    Stats.Counter.add t.counters ("bucket/" ^ a.bucket) (float_of_int d);
+    a.bucket.bucket_ps <- a.bucket.bucket_ps + d;
     Engine.after t.engine ~delay:d k
   end
 
@@ -147,7 +166,7 @@ let charge_mux t cycles k =
   else begin
     let d = Core_model.cycles t.core cycles in
     t.mux_busy_ps <- t.mux_busy_ps + d;
-    Stats.Counter.add t.counters "bucket/mux" (float_of_int d);
+    t.mux_bucket.bucket_ps <- t.mux_bucket.bucket_ps + d;
     Engine.after t.engine ~delay:d k
   end
 
@@ -182,11 +201,11 @@ let mux_instant t name =
 
 let note_stall_start (a : arec) ~now = a.stall_since <- now
 
-let note_stall_end t (a : arec) ~now =
+let note_stall_end (a : arec) ~now =
   let d = Time.sub now a.stall_since in
   if d > 0 then begin
     a.busy_ps <- a.busy_ps + d;
-    Stats.Counter.add t.counters ("bucket/" ^ a.bucket) (float_of_int d)
+    a.bucket.bucket_ps <- a.bucket.bucket_ps + d
   end
 
 (* --- scheduling --- *)
@@ -549,7 +568,7 @@ and mig_park_now t (a : arec) action =
             im_action = action;
             im_started = a.started;
             im_busy_ps = a.busy_ps;
-            im_bucket = a.bucket;
+            im_bucket = a.bucket.bname;
           }))
 
 (* --- watchdog (fault injection only) ---
@@ -633,8 +652,8 @@ and interp_op t (a : arec) op (k : Proc.resp -> unit) =
       Stats.Counter.incr t.counters "log";
       ignore line;
       k Proc.Unit
-  | Op_acct bucket ->
-      a.bucket <- bucket;
+  | Op_acct name ->
+      a.bucket <- bucket t name;
       k Proc.Unit
   | Op_alloc_buf size ->
       let vaddr = Addrspace.alloc_region a.addr ~size in
@@ -889,7 +908,7 @@ and do_send t (a : arec) ~ep ~reply_ep ~vaddr ~size ~data ~k =
         Dtu.send t.dtu ~ep ?reply_ep ?src_vaddr:vaddr ~issue_ts ~msg_size:size
           data
           ~k:(fun result ->
-            note_stall_end t a ~now:(Engine.now t.engine);
+            note_stall_end a ~now:(Engine.now t.engine);
             a.st <- Running;
             match result with
             | Ok () -> k Proc.Unit
@@ -922,7 +941,7 @@ and do_reply t (a : arec) ~recv_ep ~msg ~vaddr ~size ~data ~k =
         Dtu.reply t.dtu ~recv_ep ~to_msg:msg ?src_vaddr:vaddr ~issue_ts
           ~msg_size:size data
           ~k:(fun result ->
-            note_stall_end t a ~now:(Engine.now t.engine);
+            note_stall_end a ~now:(Engine.now t.engine);
             a.st <- Running;
             match result with
             | Ok () -> k Proc.Unit
@@ -946,7 +965,7 @@ and do_dma t (a : arec) ~write ~ep ~off ~len ~vaddr ~buf ~buf_off ~k =
         a.st <- Stalled;
         note_stall_start a ~now:(Engine.now t.engine);
         let complete result =
-          note_stall_end t a ~now:(Engine.now t.engine);
+          note_stall_end a ~now:(Engine.now t.engine);
           a.st <- Running;
           match result with
           | Ok () -> k Proc.Unit
@@ -1090,7 +1109,7 @@ let mig_install t ~image ~sys_sgate ~sys_rgate =
           wait_eps = [];
           slice_left = t.timeslice;
           busy_ps = im_busy_ps;
-          bucket = im_bucket;
+          bucket = bucket t im_bucket;
           started = im_started;
           wake_sent = false;
           stall_since = Time.zero;
@@ -1194,6 +1213,9 @@ let create ~mode ~controller ~tile ?(timeslice = Time.ms 1) () =
         ep
     | M3x_mode -> -1
   in
+  let mux_bucket = { bname = "mux"; bucket_ps = 0 } in
+  let buckets = Hashtbl.create 4 in
+  Hashtbl.add buckets "mux" mux_bucket;
   let t =
     {
       rmode = mode;
@@ -1216,6 +1238,8 @@ let create ~mode ~controller ~tile ?(timeslice = Time.ms 1) () =
       tm_queue = Queue.create ();
       next_ppage = 0x1000;
       counters = Stats.Counter.create ();
+      buckets;
+      mux_bucket;
       mux_busy_ps = 0;
       run_since = Time.zero;
       wd_epoch = 0;
@@ -1250,7 +1274,7 @@ let spawn t ~name ?(premap = true) ~program () =
       wait_eps = [];
       slice_left = t.timeslice;
       busy_ps = 0;
-      bucket = "user";
+      bucket = bucket t "user";
       started = false;
       wake_sent = false;
       stall_since = Time.zero;

@@ -707,6 +707,168 @@ let test_dram_contention () =
   let t2 = Dram.access_time dram ~now:0 ~bytes:1024 in
   check_bool "second access serialized" true (t2 >= 2 * t1 - 1)
 
+(* Model-based check of the paged DRAM store against a flat [Bytes]
+   reference that behaves as the store always has: the same contents, the
+   same stats and [Invalid_argument] on the same operations.  The store
+   size is not a multiple of the 64 KiB page, and offsets cluster around
+   page boundaries so that accesses straddle them. *)
+type dram_op =
+  | D_write of int * int * int * int  (** off, len, src_off, src_len *)
+  | D_fill of int * int * char
+  | D_read of int * int
+  | D_read_into of int * int * int * int  (** off, len, dst_off, dst_len *)
+
+let dram_page = 65536
+let dram_model_size = (3 * dram_page) + 1234
+
+let pp_dram_op = function
+  | D_write (o, l, so, sl) -> Printf.sprintf "write(%d,%d,src %d/%d)" o l so sl
+  | D_fill (o, l, c) -> Printf.sprintf "fill(%d,%d,%C)" o l c
+  | D_read (o, l) -> Printf.sprintf "read(%d,%d)" o l
+  | D_read_into (o, l, d, dl) -> Printf.sprintf "read_into(%d,%d,dst %d/%d)" o l d dl
+
+let gen_dram_op =
+  let open QCheck.Gen in
+  let off =
+    frequency
+      [
+        (6, map2 (fun p d -> (p * dram_page) + d) (int_range 0 4) (int_range (-64) 64));
+        (3, int_range 0 (dram_model_size - 1));
+        (1, oneofl [ -1; dram_model_size - 1; dram_model_size; dram_model_size + 7 ]);
+      ]
+  in
+  let len =
+    frequency
+      [ (6, int_range 0 200); (2, int_range 0 (2 * dram_page)); (1, return (-1)) ]
+  in
+  (* A caller buffer of [len] bytes, now and then too small or offset
+     outside it. *)
+  let buf len =
+    frequency
+      [
+        (8, map (fun slack -> (0, max 0 len + slack)) (int_range 0 16));
+        (1, map (fun o -> (o, max 0 len + 4)) (oneofl [ -1; 5 ]));
+      ]
+  in
+  frequency
+    [
+      (4, off >>= fun o -> len >>= fun l -> buf l >|= fun (bo, bl) -> D_write (o, l, bo, bl));
+      ( 2,
+        map3
+          (fun o l c -> D_fill (o, l, c))
+          off len
+          (frequency [ (1, return '\000'); (2, char_range 'a' 'z') ]) );
+      (2, map2 (fun o l -> D_read (o, l)) off len);
+      (3, off >>= fun o -> len >>= fun l -> buf l >|= fun (bo, bl) -> D_read_into (o, l, bo, bl));
+    ]
+
+let prop_dram_matches_flat_model =
+  QCheck.Test.make ~name:"Dram: paged store = flat bytes model" ~count:200
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map pp_dram_op ops))
+        Gen.(list_size (int_range 1 60) gen_dram_op))
+    (fun ops ->
+      let size = dram_model_size in
+      let dram = Dram.create ~size () in
+      let flat = Bytes.make size '\000' in
+      let written = Bytes.make size '\000' in
+      let stats = ref { Dram.reads = 0; writes = 0; bytes_read = 0; bytes_written = 0 } in
+      let check_range ~off ~len =
+        if off < 0 || len < 0 || off + len > size then invalid_arg "flat"
+      in
+      let note_read len =
+        stats := { !stats with reads = !stats.reads + 1; bytes_read = !stats.bytes_read + len }
+      in
+      let note_write ~off len =
+        stats :=
+          { !stats with writes = !stats.writes + 1; bytes_written = !stats.bytes_written + len };
+        Bytes.fill written off len '\001'
+      in
+      let outcome f = match f () with v -> Ok v | exception Invalid_argument _ -> Error () in
+      let pattern n seed = Bytes.init n (fun i -> Char.chr (33 + ((i * 7) + seed) mod 90)) in
+      let step i op =
+        let same =
+          match op with
+          | D_write (off, len, src_off, src_len) ->
+              let src = pattern src_len i in
+              let model () =
+                check_range ~off ~len;
+                note_write ~off len;
+                Bytes.blit src src_off flat off len
+              in
+              outcome model = outcome (fun () -> Dram.write dram ~off ~src ~src_off ~len)
+          | D_fill (off, len, c) ->
+              let model () =
+                check_range ~off ~len;
+                note_write ~off len;
+                Bytes.fill flat off len c
+              in
+              outcome model = outcome (fun () -> Dram.fill dram ~off ~len c)
+          | D_read (off, len) ->
+              let model () =
+                check_range ~off ~len;
+                note_read len;
+                Bytes.sub flat off len
+              in
+              outcome model = outcome (fun () -> Dram.read dram ~off ~len)
+          | D_read_into (off, len, dst_off, dst_len) ->
+              let dst_model = Bytes.make dst_len '?' and dst = Bytes.make dst_len '?' in
+              let model () =
+                check_range ~off ~len;
+                note_read len;
+                Bytes.blit flat off dst_model dst_off len
+              in
+              outcome model = outcome (fun () -> Dram.read_into dram ~off ~dst ~dst_off ~len)
+              && Bytes.equal dst_model dst
+        in
+        if not same then QCheck.Test.fail_reportf "op %d (%s) diverged" i (pp_dram_op op)
+      in
+      List.iteri step ops;
+      let stats_before_dump = Dram.stats dram in
+      let contents = Dram.read dram ~off:0 ~len:size in
+      let untouched_zero = ref true in
+      Bytes.iteri
+        (fun i w -> if w = '\000' && Bytes.get contents i <> '\000' then untouched_zero := false)
+        written;
+      Bytes.equal contents flat && !untouched_zero && stats_before_dump = !stats)
+
+(* Untouched pages are recognised by length, not identity: after a
+   Marshal round trip (what a checkpoint does) the shared empty page is a
+   fresh block, and reading or writing an untouched page must still work. *)
+let test_dram_marshal_roundtrip () =
+  let dram = Dram.create ~size:((4 * dram_page) + 100) () in
+  Dram.write dram ~off:(dram_page - 3) ~src:(Bytes.of_string "abcdef") ~src_off:0 ~len:6;
+  let copy : Dram.t = Marshal.from_string (Marshal.to_string dram []) 0 in
+  Alcotest.(check string) "touched pages kept" "abcdef"
+    (Bytes.to_string (Dram.read copy ~off:(dram_page - 3) ~len:6));
+  Alcotest.(check string) "untouched page reads zeros" (String.make 8 '\000')
+    (Bytes.to_string (Dram.read copy ~off:(2 * dram_page) ~len:8));
+  let dst = Bytes.make 16 'x' in
+  Dram.read_into copy ~off:((3 * dram_page) - 8) ~dst ~dst_off:0 ~len:16;
+  Alcotest.(check string) "read_into untouched pages" (String.make 16 '\000')
+    (Bytes.to_string dst);
+  Dram.write copy ~off:((3 * dram_page) - 2) ~src:(Bytes.of_string "wxyz") ~src_off:0 ~len:4;
+  Dram.fill copy ~off:(4 * dram_page) ~len:100 'q';
+  Alcotest.(check string) "write across untouched pages" "wxyz"
+    (Bytes.to_string (Dram.read copy ~off:((3 * dram_page) - 2) ~len:4));
+  Alcotest.(check string) "fill the partial last page" (String.make 100 'q')
+    (Bytes.to_string (Dram.read copy ~off:(4 * dram_page) ~len:100));
+  Alcotest.(check string) "original unchanged" (String.make 4 '\000')
+    (Bytes.to_string (Dram.read dram ~off:((3 * dram_page) - 2) ~len:4))
+
+(* Zero-filling untouched memory allocates nothing: a 256 MiB store
+   cleared end to end still marshals to a few KiB. *)
+let test_dram_zero_fill_stays_sparse () =
+  let dram = Dram.create ~size:(256 lsl 20) () in
+  Dram.fill dram ~off:0 ~len:(Dram.size dram) '\000';
+  Dram.write dram ~off:12345 ~src:(Bytes.of_string "x") ~src_off:0 ~len:1;
+  Dram.fill dram ~off:0 ~len:(Dram.size dram) '\000';
+  check_bool "one page allocated" true
+    (String.length (Marshal.to_string dram []) < 2 * dram_page);
+  check_int "zero fill clears touched pages" 0
+    (Char.code (Bytes.get (Dram.read dram ~off:12345 ~len:1) 0))
+
 let suite =
   [
     ("send/recv", `Quick, test_send_recv);
@@ -732,6 +894,8 @@ let suite =
     ("tlb fifo stays bounded", `Quick, test_tlb_fifo_stays_bounded);
     ("tlb perm upgrades counted", `Quick, test_tlb_perm_upgrade_counted);
     ("dram contention", `Quick, test_dram_contention);
+    ("dram survives a marshal round trip", `Quick, test_dram_marshal_roundtrip);
+    ("dram zero fill stays sparse", `Quick, test_dram_zero_fill_stays_sparse);
     ("mpmc multi-sender fan-in", `Quick, test_mpmc_multi_sender_fanin);
     ( "mpmc doorbell coalescing",
       `Quick,
@@ -745,4 +909,5 @@ let suite =
       test_mpmc_refund_discarded_on_reconfigure );
     ("mpmc stale memo after revoke", `Quick, test_mpmc_stale_memo_after_revoke);
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_mpmc_exactly_once_conserved ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_mpmc_exactly_once_conserved; prop_dram_matches_flat_model ]

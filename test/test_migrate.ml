@@ -295,6 +295,20 @@ let test_checkpoint_codec_rejects () =
       | Ok _ -> Alcotest.fail "value did not round-trip"
       | Error msg -> Alcotest.failf "round trip failed: %s" msg)
 
+(* A freshly booted FPGA System holds two 64 MiB DRAMs that nothing has
+   written yet; its checkpoint must not carry them as zeros. *)
+let test_checkpoint_size_of_fresh_system () =
+  let sys = System.create ~variant:System.M3v () in
+  System.boot sys;
+  let file = Filename.temp_file "m3v_ckpt" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+    (fun () ->
+      Checkpoint.save ~path:file sys;
+      let bytes = Int64.to_int (In_channel.with_open_bin file In_channel.length) in
+      if bytes >= 4 lsl 20 then
+        Alcotest.failf "checkpoint of a fresh System is %d bytes (limit 4 MiB)" bytes)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -311,5 +325,7 @@ let suite =
       test_checkpoint_roundtrip_jobs;
     Alcotest.test_case "checkpoint: codec rejects bad files" `Quick
       test_checkpoint_codec_rejects;
+    Alcotest.test_case "checkpoint: fresh System stays small" `Quick
+      test_checkpoint_size_of_fresh_system;
   ]
   @ qsuite [ prop_migrate_exactly_once ]
