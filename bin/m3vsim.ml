@@ -16,6 +16,13 @@
 
 open Cmdliner
 
+(* Bad input is a one-line error and exit status 2, not an exception. *)
+let or_exit cmd = function
+  | Ok v -> v
+  | Error reason ->
+      Format.eprintf "m3vsim %s: %s@." cmd reason;
+      Stdlib.exit 2
+
 let trace =
   let doc =
     "Record the run into a Chrome trace-event JSON file at $(docv) \
@@ -54,14 +61,6 @@ let jobs =
      execution."
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-let shards =
-  let doc =
-    "Run each simulation under the conservative-window sharded scheduler \
-     with $(docv) shards.  Output is byte-identical to --shards 1 (the \
-     default, plain sequential engine)."
-  in
-  Arg.(value & opt int 0 & info [ "shards" ] ~docv:"K" ~doc)
 
 let telemetry =
   let doc =
@@ -104,11 +103,10 @@ let fig8_cmd =
 
 let fig9_cmd =
   Cmd.v (Cmd.info "fig9" ~doc:"Figure 9: scalability of tile multiplexing (M3x vs M3v)")
-    Term.(const (fun trace metrics faults fault_seed telemetry jobs shards runs ->
-              M3v.Exp_runner.fig9 ?trace ?metrics ?faults ~fault_seed ~telemetry
-                ?jobs ~shards ~runs ())
-          $ trace $ metrics $ faults $ fault_seed $ telemetry $ jobs $ shards
-          $ runs)
+    Term.(const (fun trace metrics faults fault_seed jobs runs ->
+              M3v.Exp_runner.fig9 ?trace ?metrics ?faults ~fault_seed ?jobs
+                ~runs ())
+          $ trace $ metrics $ faults $ fault_seed $ jobs $ runs)
 
 let fig10_cmd =
   Cmd.v (Cmd.info "fig10" ~doc:"Figure 10: cloud service (YCSB) vs Linux")
@@ -141,10 +139,11 @@ let fanin_cmd =
          "Fan-in ablation: N senders -> 1 server throughput, shared MPMC \
           receive endpoint (batched acks, coalesced doorbells) vs \
           per-sender endpoints")
-    Term.(const (fun trace metrics faults fault_seed jobs shards msgs senders ->
+    Term.(const (fun trace metrics faults fault_seed jobs msgs senders ->
+              or_exit "fanin" (M3v.Exp_fanin.validate ~sender_counts:senders);
               M3v.Exp_runner.fanin ?trace ?metrics ?faults ~fault_seed ?jobs
-                ~shards ~msgs ~senders ())
-          $ trace $ metrics $ faults $ fault_seed $ jobs $ shards $ fanin_msgs
+                ~msgs ~senders ())
+          $ trace $ metrics $ faults $ fault_seed $ jobs $ fanin_msgs
           $ fanin_senders)
 
 let load_clients =
@@ -220,18 +219,16 @@ let load_cmd =
           latency-vs-load SLO tables (p50/p99/p999), detects the \
           saturation knee and attributes the bottleneck from the \
           critical-path profiler")
-    Term.(const (fun trace metrics faults fault_seed telemetry jobs shards
-                     clients drivers rate mix skew keys duration steps closed
-                     think_ms arrivals slo seed ->
+    Term.(const (fun trace metrics faults fault_seed jobs clients drivers rate
+                     mix skew keys duration steps closed think_ms arrivals slo
+                     seed ->
               let mix =
                 match mix with
                 | None -> M3v_load.Fleet.default_mix
-                | Some s -> (
-                    match M3v_load.Fleet.parse_mix s with
-                    | Ok m -> m
-                    | Error e ->
-                        Format.eprintf "m3vsim load: bad --mix: %s@." e;
-                        Stdlib.exit 2)
+                | Some s ->
+                    or_exit "load"
+                      (Result.map_error (( ^ ) "bad --mix: ")
+                         (M3v_load.Fleet.parse_mix s))
               in
               let cfg =
                 {
@@ -251,11 +248,12 @@ let load_cmd =
                   seed;
                 }
               in
-              M3v.Exp_runner.load ?trace ?metrics ?faults ~fault_seed
-                ~telemetry ?jobs ~shards ~cfg ())
-          $ trace $ metrics $ faults $ fault_seed $ telemetry $ jobs $ shards
-          $ load_clients $ load_drivers $ load_rate $ load_mix $ load_skew
-          $ load_keys $ load_duration $ load_steps $ load_closed $ load_think
+              or_exit "load" (M3v.Exp_load.validate cfg);
+              M3v.Exp_runner.load ?trace ?metrics ?faults ~fault_seed ?jobs
+                ~cfg ())
+          $ trace $ metrics $ faults $ fault_seed $ jobs $ load_clients
+          $ load_drivers $ load_rate $ load_mix $ load_skew $ load_keys
+          $ load_duration $ load_steps $ load_closed $ load_think
           $ load_arrivals $ load_slo $ load_seed)
 
 let mig_rounds =
@@ -338,14 +336,14 @@ let chaos_cmd =
           crash=2,hang=1 when --faults is omitted); \
           --checkpoint-every/--resume stop and restart the soak across \
           processes with byte-identical results")
-    Term.(const (fun trace faults fault_seed telemetry jobs shards seeds
-                     ckpt_every ckpt_file stop_after resume rounds ops ->
-              M3v.Exp_runner.chaos ?trace ?faults ~fault_seed ~telemetry ?jobs
-                ~shards ~seeds ~checkpoint_every_ms:ckpt_every
-                ~checkpoint_file:ckpt_file ~stop_after ?resume ~rounds ~ops ())
-          $ trace $ faults $ fault_seed $ telemetry $ jobs $ shards
-          $ chaos_seeds $ chaos_ckpt_every $ chaos_ckpt_file $ chaos_stop_after
-          $ chaos_resume $ chaos_rounds $ chaos_ops)
+    Term.(const (fun trace faults fault_seed jobs seeds ckpt_every ckpt_file
+                     stop_after resume rounds ops ->
+              M3v.Exp_runner.chaos ?trace ?faults ~fault_seed ?jobs ~seeds
+                ~checkpoint_every_ms:ckpt_every ~checkpoint_file:ckpt_file
+                ~stop_after ?resume ~rounds ~ops ())
+          $ trace $ faults $ fault_seed $ jobs $ chaos_seeds $ chaos_ckpt_every
+          $ chaos_ckpt_file $ chaos_stop_after $ chaos_resume $ chaos_rounds
+          $ chaos_ops)
 
 let sweep_tiles =
   let doc = "Comma-separated tile counts to sweep (defaults to 64,256)." in

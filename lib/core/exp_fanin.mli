@@ -19,9 +19,12 @@ type point = {
 
 type result = { msgs_per_sender : int; points : point list }
 
+(** [Error reason] unless every sender count is at least 1. *)
+val validate : sender_counts:int list -> (unit, string) Stdlib.result
+
+(** Raises [Invalid_argument] with {!validate}'s reason on bad input. *)
 val run :
   ?pool:M3v_par.Par.Pool.t ->
-  ?shards:int ->
   ?msgs:int ->
   ?sender_counts:int list ->
   unit ->
@@ -30,4 +33,4 @@ val run :
 val print : result -> unit
 
 (** Throughput of one configuration (exposed for tests/calibration). *)
-val throughput : ?shards:int -> mode:mode -> senders:int -> msgs:int -> unit -> float
+val throughput : mode:mode -> senders:int -> msgs:int -> unit -> float

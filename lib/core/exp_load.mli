@@ -49,11 +49,17 @@ type result = {
   r_attribution : string;
 }
 
+(** [Error reason] for a configuration the fleet cannot run: no clients,
+    a driver count outside the services' endpoint provisioning or above
+    the client count, no or non-positive load steps, a non-positive
+    open-loop rate or key space, or a skew outside [0, 1). *)
+val validate : config -> (unit, string) Stdlib.result
+
 (** Steps fan out over [pool] as independent simulations and merge in
     submission order, so reports are byte-identical across [--jobs]
-    settings.  Raises [Invalid_argument] on an empty step list or a
-    driver count outside the services' endpoint provisioning. *)
-val run : ?pool:M3v_par.Par.Pool.t -> ?shards:int -> ?cfg:config -> unit -> result
+    settings.  Raises [Invalid_argument] with {!validate}'s reason on a
+    bad configuration. *)
+val run : ?pool:M3v_par.Par.Pool.t -> ?cfg:config -> unit -> result
 
 val pp : Format.formatter -> result -> unit
 val print : result -> unit

@@ -123,16 +123,12 @@ let fig8 ?trace ?metrics ?faults ?(fault_seed = 1) ?jobs ~runs () =
               with_metrics metrics (fun () ->
                   Exp_fig8.print (Exp_fig8.run ~pool ?runs:(opt runs) ())))))
 
-let fig9 ?trace ?metrics ?faults ?(fault_seed = 1) ?(telemetry = false) ?jobs
-    ?shards ~runs () =
-  with_telemetry telemetry (fun () ->
-      with_pool ?jobs ~sequential:(needs_seq ~trace ~faults) (fun pool ->
-          with_faults ?faults ~fault_seed (fun () ->
-              with_trace trace (fun () ->
-                  with_metrics metrics (fun () ->
-                      Exp_fig9.print
-                        (Exp_fig9.run ~pool ?shards:(Option.bind shards opt)
-                           ?runs:(opt runs) ()))))))
+let fig9 ?trace ?metrics ?faults ?(fault_seed = 1) ?jobs ~runs () =
+  with_pool ?jobs ~sequential:(needs_seq ~trace ~faults) (fun pool ->
+      with_faults ?faults ~fault_seed (fun () ->
+          with_trace trace (fun () ->
+              with_metrics metrics (fun () ->
+                  Exp_fig9.print (Exp_fig9.run ~pool ?runs:(opt runs) ())))))
 
 let fig10 ?trace ?metrics ?faults ?(fault_seed = 1) ?jobs ~runs () =
   with_pool ?jobs ~sequential:(needs_seq ~trace ~faults) (fun pool ->
@@ -148,8 +144,7 @@ let voice ?trace ?metrics ?faults ?(fault_seed = 1) ?jobs ~runs () =
               with_metrics metrics (fun () ->
                   Exp_voice.print (Exp_voice.run ~pool ?runs:(opt runs) ())))))
 
-let fanin ?trace ?metrics ?faults ?(fault_seed = 1) ?jobs ?shards ~msgs
-    ~senders () =
+let fanin ?trace ?metrics ?faults ?(fault_seed = 1) ?jobs ~msgs ~senders () =
   let sender_counts =
     match senders with [] -> None | counts -> Some counts
   in
@@ -158,19 +153,14 @@ let fanin ?trace ?metrics ?faults ?(fault_seed = 1) ?jobs ?shards ~msgs
           with_trace trace (fun () ->
               with_metrics metrics (fun () ->
                   Exp_fanin.print
-                    (Exp_fanin.run ~pool ?shards:(Option.bind shards opt)
-                       ?msgs:(opt msgs) ?sender_counts ())))))
+                    (Exp_fanin.run ~pool ?msgs:(opt msgs) ?sender_counts ())))))
 
-let load ?trace ?metrics ?faults ?(fault_seed = 1) ?(telemetry = false) ?jobs
-    ?shards ~cfg () =
-  with_telemetry telemetry (fun () ->
-      with_pool ?jobs ~sequential:(needs_seq ~trace ~faults) (fun pool ->
-          with_faults ?faults ~fault_seed (fun () ->
-              with_trace trace (fun () ->
-                  with_metrics metrics (fun () ->
-                      Exp_load.print
-                        (Exp_load.run ~pool ?shards:(Option.bind shards opt)
-                           ~cfg ()))))))
+let load ?trace ?metrics ?faults ?(fault_seed = 1) ?jobs ~cfg () =
+  with_pool ?jobs ~sequential:(needs_seq ~trace ~faults) (fun pool ->
+      with_faults ?faults ~fault_seed (fun () ->
+          with_trace trace (fun () ->
+              with_metrics metrics (fun () ->
+                  Exp_load.print (Exp_load.run ~pool ~cfg ())))))
 
 (* Both halves of the ablation in one report: the clean sweep, then the
    same sweep under a [mig_abort] fault plan (installed per task inside
@@ -198,13 +188,11 @@ let chaos_outcome = function
       Format.eprintf "chaos: suspended after %d checkpoint(s) -> %s@."
         checkpoints file
 
-let chaos ?trace ?faults ?(fault_seed = 7) ?(telemetry = false) ?jobs ?shards
-    ?(seeds = 1) ?checkpoint_every_ms ?(checkpoint_file = "chaos.ckpt")
-    ?stop_after ?resume ~rounds ~ops () =
+let chaos ?trace ?faults ?(fault_seed = 7) ?jobs ?(seeds = 1)
+    ?checkpoint_every_ms ?(checkpoint_file = "chaos.ckpt") ?stop_after ?resume
+    ~rounds ~ops () =
   let spec = Option.map parse_faults faults in
-  let shards = Option.bind shards opt in
   let every_ms = Option.bind checkpoint_every_ms (fun n -> opt n) in
-  with_telemetry telemetry @@ fun () ->
   match (resume, every_ms) with
   | Some file, _ -> (
       match Exp_chaos.resume ~file ?stop_after:(Option.bind stop_after opt) () with
@@ -227,14 +215,14 @@ let chaos ?trace ?faults ?(fault_seed = 7) ?(telemetry = false) ?jobs ?shards
         exit 2
       end;
       chaos_outcome
-        (Exp_chaos.run_checkpointed ?shards ?spec ~seed:fault_seed
+        (Exp_chaos.run_checkpointed ?spec ~seed:fault_seed
            ?fs_rounds:(opt rounds) ?kv_ops:(opt ops)
            ~every:(M3v_sim.Time.ms ms) ~file:checkpoint_file
            ?stop_after:(Option.bind stop_after opt) ())
   | None, None ->
       with_pool ?jobs ~sequential:(Option.is_some trace) (fun pool ->
           with_trace trace (fun () ->
-              Exp_chaos.run_sweep ~pool ?shards ?spec ~seed:fault_seed ~seeds
+              Exp_chaos.run_sweep ~pool ?spec ~seed:fault_seed ~seeds
                 ?fs_rounds:(opt rounds) ?kv_ops:(opt ops) ()
               |> List.iter Exp_chaos.print))
 

@@ -28,14 +28,9 @@
     deterministic fault plan seeded with [fault_seed] and the injection
     tally is printed at the end.
 
-    When [?shards] (> 0) is given on the experiments that support it, each
-    point's System runs under the conservative-window sharded scheduler
-    ({!System.create}); output is byte-identical to [shards:1] (asserted
-    in tests and CI).  [shards <= 0] means "default" (unsharded).
-
-    When [?telemetry] is [true], every multi-shard group created during
-    the run records per-window telemetry ({!M3v_par.Telemetry}) and the
-    merged analyzer report — per-shard imbalance, limiter attribution,
+    When [?telemetry] is [true] (on {!shard_sweep}), every multi-shard
+    group created during the run records per-window telemetry
+    ({!M3v_par.Telemetry}) and the merged analyzer report — per-shard imbalance, limiter attribution,
     critical-path speedup bound — prints to {e stderr} when the run
     ends.  Stdout is byte-identical with telemetry on or off: telemetry
     is a pure observer and its tables (which vary with the shard count
@@ -55,7 +50,7 @@ val fig8 :
 
 val fig9 :
   ?trace:string -> ?metrics:string -> ?faults:string -> ?fault_seed:int ->
-  ?telemetry:bool -> ?jobs:int -> ?shards:int -> runs:int -> unit -> unit
+  ?jobs:int -> runs:int -> unit -> unit
 
 val fig10 :
   ?trace:string -> ?metrics:string -> ?faults:string -> ?fault_seed:int ->
@@ -71,7 +66,7 @@ val voice :
     picks the default sweep (4, 16, 64). *)
 val fanin :
   ?trace:string -> ?metrics:string -> ?faults:string -> ?fault_seed:int ->
-  ?jobs:int -> ?shards:int -> msgs:int -> senders:int list -> unit -> unit
+  ?jobs:int -> msgs:int -> senders:int list -> unit -> unit
 
 (** Load harness ({!Exp_load}): client fleets at swept offered load over
     net + m3fs + the key-value service, with SLO tables, knee detection
@@ -79,8 +74,7 @@ val fanin :
     byte-identical across [--jobs] settings. *)
 val load :
   ?trace:string -> ?metrics:string -> ?faults:string -> ?fault_seed:int ->
-  ?telemetry:bool -> ?jobs:int -> ?shards:int -> cfg:Exp_load.config ->
-  unit -> unit
+  ?jobs:int -> cfg:Exp_load.config -> unit -> unit
 
 (** Live-migration ablation ({!Exp_migrate}): downtime and exactly-once
     delivery vs message rate, swept clean and under a [mig_abort] fault
@@ -104,8 +98,8 @@ val migrate :
     uninterrupted run's.  Checkpointing is single-seed and incompatible
     with [trace]. *)
 val chaos :
-  ?trace:string -> ?faults:string -> ?fault_seed:int -> ?telemetry:bool ->
-  ?jobs:int -> ?shards:int -> ?seeds:int -> ?checkpoint_every_ms:int ->
+  ?trace:string -> ?faults:string -> ?fault_seed:int -> ?jobs:int ->
+  ?seeds:int -> ?checkpoint_every_ms:int ->
   ?checkpoint_file:string -> ?stop_after:int -> ?resume:string ->
   rounds:int -> ops:int -> unit -> unit
 

@@ -22,18 +22,11 @@ type params = {
 let default_params =
   { flit_bytes = 16; ps_per_flit = 10_000; hop_latency_ps = 7_500; header_flits = 1 }
 
-(* The cheapest cross-tile delivery under [p] is a single-hop router
-   traversal with zero serialization — every real packet costs at least
-   this much.  A conservative sharded scheduler may therefore execute
-   [lookahead] ahead of other shards' horizons without missing a
-   message. *)
-let conservative_lookahead p = p.hop_latency_ps
-
 type stats = {
-  packets : int;
-  payload_bytes : int;
-  total_flits : int;
-  link_busy_ps : int;
+  mutable packets : int;
+  mutable payload_bytes : int;
+  mutable total_flits : int;
+  mutable link_busy_ps : int;
 }
 
 type t = {
@@ -44,7 +37,8 @@ type t = {
   mutable stats : stats;
 }
 
-let empty_stats = { packets = 0; payload_bytes = 0; total_flits = 0; link_busy_ps = 0 }
+let zero_stats () =
+  { packets = 0; payload_bytes = 0; total_flits = 0; link_busy_ps = 0 }
 
 let create ?(params = default_params) engine topo =
   {
@@ -52,7 +46,7 @@ let create ?(params = default_params) engine topo =
     topo;
     params;
     free_at = Array.make (Topology.link_count topo) Time.zero;
-    stats = empty_stats;
+    stats = zero_stats ();
   }
 
 let topology t = t.topo
@@ -73,8 +67,7 @@ let transfer_time t ~record ~start route flits =
       let begin_at = Time.max !arrival t.free_at.(link) in
       if record then begin
         t.free_at.(link) <- Time.add begin_at serialization;
-        t.stats <-
-          { t.stats with link_busy_ps = t.stats.link_busy_ps + serialization };
+        t.stats.link_busy_ps <- t.stats.link_busy_ps + serialization;
         if Metrics.on () then begin
           let name = Topology.link_name t.topo link in
           Metrics.counter_add ~name:"noc/link_busy_ps" ~cat:name
@@ -107,13 +100,9 @@ let send_one t ~src ~dst ~bytes ~extra ~on_delivered =
       transfer_time t ~record:true ~start:now route flits
   in
   let arrival = Time.add arrival extra in
-  t.stats <-
-    {
-      t.stats with
-      packets = t.stats.packets + 1;
-      payload_bytes = t.stats.payload_bytes + bytes;
-      total_flits = t.stats.total_flits + flits;
-    };
+  t.stats.packets <- t.stats.packets + 1;
+  t.stats.payload_bytes <- t.stats.payload_bytes + bytes;
+  t.stats.total_flits <- t.stats.total_flits + flits;
   if Trace.on () then begin
     let dur = Time.sub arrival now in
     (* Queueing delay: how much longer than an uncontended transfer this
@@ -148,5 +137,7 @@ let send ?(kind = Control) t ~src ~dst ~bytes ~on_delivered =
         send_one t ~src ~dst ~bytes ~extra:0 ~on_delivered
     | Fault.Delay extra -> send_one t ~src ~dst ~bytes ~extra ~on_delivered
 
-let stats t = t.stats
-let reset_stats t = t.stats <- empty_stats
+(* A copy: counters are bumped in place, so the live record must not
+   escape. *)
+let stats t = { t.stats with packets = t.stats.packets }
+let reset_stats t = t.stats <- zero_stats ()

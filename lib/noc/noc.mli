@@ -19,13 +19,6 @@ type params = {
     the low dozens of nanoseconds, matching the paper's platform. *)
 val default_params : params
 
-(** Minimum latency any cross-tile delivery can experience under the given
-    parameters (one hop's router + wire traversal, before serialization or
-    contention) — the lookahead a conservative sharded scheduler may rely
-    on.  Takes [params] rather than [t] so it can be computed before the
-    transport exists. *)
-val conservative_lookahead : params -> M3v_sim.Time.t
-
 type t
 
 (** Fault-injection class of a packet.  [Data] packets (DTU messages,
@@ -34,11 +27,14 @@ type t
     model the lossless credit-managed sideband and are never faulted. *)
 type kind = Data | Control
 
-type stats = {
-  packets : int;
-  payload_bytes : int;
-  total_flits : int;
-  link_busy_ps : int;  (** accumulated serialization time over all links *)
+(** Per-instance counters, bumped in place and read-only outside this
+    module.  {!stats} returns a copy that later activity does not change. *)
+type stats = private {
+  mutable packets : int;
+  mutable payload_bytes : int;
+  mutable total_flits : int;
+  mutable link_busy_ps : int;
+      (** accumulated serialization time over all links *)
 }
 
 val create : ?params:params -> M3v_sim.Engine.t -> Topology.t -> t

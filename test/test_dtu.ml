@@ -869,6 +869,128 @@ let test_dram_zero_fill_stays_sparse () =
   check_int "zero fill clears touched pages" 0
     (Char.code (Bytes.get (Dram.read dram ~off:12345 ~len:1) 0))
 
+(* Counter aliasing.  Dtu, Noc, Controller and Nic bump their stats in
+   place, so each instance must own its record and [stats] must hand out
+   copies.  One case per subsystem: [make] a fresh instance, [act] on it
+   so that some counter moves, read [counts] off a [snapshot], and
+   [reset] where the subsystem has one. *)
+type stats_case =
+  | Stats_case : {
+      name : string;
+      make : unit -> 'a;
+      act : 'a -> unit;
+      snapshot : 'a -> 's;
+      counts : 's -> int list;
+      reset : ('a -> unit) option;
+    }
+      -> stats_case
+
+(* An activity on tile 1 that exits at once: its exit notification is a
+   syscall, so it crosses tile 1's DTU, the NoC and the controller. *)
+let run_exiting_act sys =
+  ignore
+    (M3v.System.spawn sys ~tile:1 ~name:"exit" (fun _ -> Proc.return ()));
+  M3v.System.boot sys;
+  ignore (M3v.System.run sys)
+
+let new_system () = M3v.System.create ~variant:M3v.System.M3v ()
+let sys_noc sys = M3v_tile.Platform.noc (M3v.System.platform sys)
+
+let stats_cases =
+  let module C = M3v_kernel.Controller in
+  let module N = M3v_noc.Noc in
+  let module Nic = M3v_os.Nic in
+  [
+    Stats_case
+      {
+        name = "Dtu";
+        make = new_system;
+        act = run_exiting_act;
+        snapshot =
+          (fun sys ->
+            Dtu.stats (M3v_tile.Platform.dtu (M3v.System.platform sys) 1));
+        counts =
+          (fun s ->
+            Dtu.
+              [
+                s.sends; s.replies; s.fetches; s.acks; s.dma_reads;
+                s.dma_writes; s.dma_bytes; s.core_reqs; s.delivery_failures;
+                s.translation_faults; s.retries; s.timeouts; s.dup_drops;
+                s.mig_forwards; s.mpmc_deliveries; s.mpmc_doorbells_coalesced;
+                s.mpmc_refund_flushes; s.mpmc_credits_refunded;
+                s.credit_stalls;
+              ]);
+        reset = None;
+      };
+    Stats_case
+      {
+        name = "Noc";
+        make = new_system;
+        act = run_exiting_act;
+        snapshot = (fun sys -> N.stats (sys_noc sys));
+        counts =
+          (fun s ->
+            N.[ s.packets; s.payload_bytes; s.total_flits; s.link_busy_ps ]);
+        reset = Some (fun sys -> N.reset_stats (sys_noc sys));
+      };
+    Stats_case
+      {
+        name = "Controller";
+        make = new_system;
+        act = run_exiting_act;
+        snapshot = (fun sys -> C.stats (M3v.System.controller sys));
+        counts =
+          (fun s ->
+            C.
+              [
+                s.syscalls; s.mx_switches; s.mx_forwards; s.busy_ps; s.crashes;
+                s.restarts; s.credits_reclaimed; s.migrations; s.mig_aborts;
+                s.mig_downtime_ps;
+              ]);
+        reset = Some (fun sys -> C.reset_stats (M3v.System.controller sys));
+      };
+    Stats_case
+      {
+        name = "Nic";
+        make =
+          (fun () -> Nic.create ~engine:(Engine.create ()) ~host:Nic.Sink ());
+        act =
+          (fun nic ->
+            Nic.transmit nic
+              {
+                M3v_os.Net_proto.src = (0, 1);
+                dst = (1, 2);
+                payload = Bytes.empty;
+              });
+        snapshot = Nic.stats;
+        counts =
+          (fun s -> Nic.[ s.tx; s.rx; s.tx_bytes; s.rx_bytes; s.dropped ]);
+        reset = None;
+      };
+  ]
+
+let test_stats_snapshots_per_instance () =
+  List.iter
+    (fun (Stats_case c) ->
+      let zero s = List.for_all (( = ) 0) (c.counts s) in
+      let check what = check_bool (c.name ^ ": " ^ what) true in
+      let x = c.make () in
+      let before = c.snapshot x in
+      c.act x;
+      check "activity moves a counter" (not (zero (c.snapshot x)));
+      check "earlier snapshot unchanged" (zero before);
+      let a = c.make () and b = c.make () in
+      c.act a;
+      check "fresh instance shares no counters" (zero (c.snapshot b));
+      Option.iter
+        (fun reset ->
+          c.act b;
+          reset a;
+          check "reset zeroes its own instance" (zero (c.snapshot a));
+          check "reset leaves other instances" (not (zero (c.snapshot b))))
+        c.reset)
+    stats_cases
+
 let suite =
   [
     ("send/recv", `Quick, test_send_recv);
@@ -908,6 +1030,9 @@ let suite =
       `Quick,
       test_mpmc_refund_discarded_on_reconfigure );
     ("mpmc stale memo after revoke", `Quick, test_mpmc_stale_memo_after_revoke);
+    ( "stats: per-instance counters, snapshot copies",
+      `Quick,
+      test_stats_snapshots_per_instance );
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_mpmc_exactly_once_conserved; prop_dram_matches_flat_model ]

@@ -419,6 +419,53 @@ let test_exp_load_jobs_deterministic () =
   let par = Par.Pool.with_pool ~jobs:4 (fun pool -> render tiny_cfg pool) in
   check_string "jobs=4 report byte-identical to sequential" seq par
 
+(* Bad configurations are rejected up front by [validate], and [run]
+   raises the same reason instead of failing mid-simulation. *)
+let test_bad_configs_rejected () =
+  let module L = M3v.Exp_load in
+  let d = L.default in
+  let bad =
+    [
+      ("no clients", { d with clients = 0 });
+      ("no drivers", { d with drivers = 0 });
+      ("too many drivers", { d with drivers = 9 });
+      ("more drivers than clients", { d with clients = 3; drivers = 4 });
+      ("no steps", { d with fracs = [] });
+      ("zero step", { d with fracs = [ 0.5; 0.0 ] });
+      ("zero open-loop rate", { d with rate_per_s = 0.0 });
+      ("no keys", { d with keys = 0 });
+      ("skew of 1", { d with skew = 1.0 });
+    ]
+  in
+  List.iter
+    (fun (name, cfg) ->
+      match L.validate cfg with
+      | Ok () -> Alcotest.failf "%s: accepted" name
+      | Error reason ->
+          Alcotest.check_raises (name ^ ": run raises")
+            (Invalid_argument ("exp_load: " ^ reason))
+            (fun () -> ignore (L.run ~cfg ())))
+    bad;
+  List.iter
+    (fun (name, cfg) ->
+      check_bool (name ^ " accepted") true (L.validate cfg = Ok ()))
+    [
+      ("default", d);
+      ("tiny", tiny_cfg);
+      ( "closed loop ignores rate",
+        { tiny_cfg with closed = true; rate_per_s = 0.0 } );
+    ];
+  let module F = M3v.Exp_fanin in
+  (match F.validate ~sender_counts:[ 4; 0 ] with
+  | Ok () -> Alcotest.fail "fanin: zero senders accepted"
+  | Error reason ->
+      Alcotest.check_raises "fanin: run raises"
+        (Invalid_argument ("exp_fanin: " ^ reason))
+        (fun () -> ignore (F.run ~sender_counts:[ 4; 0 ] ())));
+  check_bool "fanin: default and single-sender sweeps accepted" true
+    (F.validate ~sender_counts:[] = Ok ()
+    && F.validate ~sender_counts:[ 1 ] = Ok ())
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_equal_seed_streams;
@@ -451,4 +498,6 @@ let suite =
     Alcotest.test_case "exp_load end to end" `Quick test_exp_load_end_to_end;
     Alcotest.test_case "exp_load jobs determinism" `Quick
       test_exp_load_jobs_deterministic;
+    Alcotest.test_case "bad load and fanin configs rejected" `Quick
+      test_bad_configs_rejected;
   ]
