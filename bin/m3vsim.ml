@@ -12,7 +12,11 @@
 
    Parallelism: --jobs N (or M3V_JOBS) fans independent units of the
    experiment out over N domains.  Output is byte-identical to a
-   sequential run; --trace/--faults force sequential execution. *)
+   sequential run; under --trace/--faults every task runs inline on the
+   main domain, because sinks and fault plans are domain-local.
+
+   fig6 ... fig10 and voice are one command per row of
+   Exp_runner.figures. *)
 
 open Cmdliner
 
@@ -57,8 +61,8 @@ let jobs =
   let doc =
     "Run independent parts of the experiment on $(docv) domains \
      (defaults to $(b,M3V_JOBS) or the number of cores).  Output is \
-     byte-identical to --jobs 1; --trace and --faults force sequential \
-     execution."
+     byte-identical to --jobs 1; under --trace or --faults every task \
+     runs inline on the main domain."
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
@@ -76,51 +80,17 @@ let rounds =
   let doc = "Measured RPC round trips." in
   Arg.(value & opt int 1000 & info [ "rounds" ] ~doc)
 
-let fig6_cmd =
-  Cmd.v (Cmd.info "fig6" ~doc:"Figure 6: local/remote RPC vs Linux primitives")
-    Term.(const (fun trace metrics faults fault_seed jobs rounds ->
-              M3v.Exp_runner.fig6 ?trace ?metrics ?faults ~fault_seed ?jobs
-                ~rounds ())
-          $ trace $ metrics $ faults $ fault_seed $ jobs $ rounds)
-
 let runs =
   let doc = "Measured repetitions." in
   Arg.(value & opt int 0 & info [ "runs" ] ~doc)
 
-let fig7_cmd =
-  Cmd.v (Cmd.info "fig7" ~doc:"Figure 7: file read/write throughput")
-    Term.(const (fun trace metrics faults fault_seed jobs runs ->
-              M3v.Exp_runner.fig7 ?trace ?metrics ?faults ~fault_seed ?jobs
-                ~runs ())
-          $ trace $ metrics $ faults $ fault_seed $ jobs $ runs)
-
-let fig8_cmd =
-  Cmd.v (Cmd.info "fig8" ~doc:"Figure 8: UDP latency")
-    Term.(const (fun trace metrics faults fault_seed jobs runs ->
-              M3v.Exp_runner.fig8 ?trace ?metrics ?faults ~fault_seed ?jobs
-                ~runs ())
-          $ trace $ metrics $ faults $ fault_seed $ jobs $ runs)
-
-let fig9_cmd =
-  Cmd.v (Cmd.info "fig9" ~doc:"Figure 9: scalability of tile multiplexing (M3x vs M3v)")
-    Term.(const (fun trace metrics faults fault_seed jobs runs ->
-              M3v.Exp_runner.fig9 ?trace ?metrics ?faults ~fault_seed ?jobs
-                ~runs ())
-          $ trace $ metrics $ faults $ fault_seed $ jobs $ runs)
-
-let fig10_cmd =
-  Cmd.v (Cmd.info "fig10" ~doc:"Figure 10: cloud service (YCSB) vs Linux")
-    Term.(const (fun trace metrics faults fault_seed jobs runs ->
-              M3v.Exp_runner.fig10 ?trace ?metrics ?faults ~fault_seed ?jobs
-                ~runs ())
-          $ trace $ metrics $ faults $ fault_seed $ jobs $ runs)
-
-let voice_cmd =
-  Cmd.v (Cmd.info "voice" ~doc:"Section 6.5.1: voice assistant sharing overhead")
-    Term.(const (fun trace metrics faults fault_seed jobs runs ->
-              M3v.Exp_runner.voice ?trace ?metrics ?faults ~fault_seed ?jobs
-                ~runs ())
-          $ trace $ metrics $ faults $ fault_seed $ jobs $ runs)
+let figure_cmd (fig : M3v.Exp_runner.figure) =
+  let count = match fig.count with `Rounds -> rounds | `Runs -> runs in
+  Cmd.v (Cmd.info fig.name ~doc:fig.doc)
+    Term.(const (fun trace metrics faults fault_seed jobs n ->
+              M3v.Exp_runner.run_figure ?trace ?metrics ?faults ~fault_seed
+                ?jobs fig n)
+          $ trace $ metrics $ faults $ fault_seed $ jobs $ count)
 
 let fanin_msgs =
   let doc = "Messages per sender (<= 0 picks the default)." in
@@ -280,6 +250,7 @@ let migrate_cmd =
           rate and verifies exactly-once delivery, clean and with \
           injected migration aborts")
     Term.(const (fun trace metrics jobs seed rounds rates ->
+              or_exit "migrate" (M3v.Exp_migrate.validate ~rates);
               M3v.Exp_runner.migrate ?trace ?metrics ?jobs ~seed ~rounds
                 ~rates ())
           $ trace $ metrics $ jobs $ mig_seed $ mig_rounds $ mig_rates)
@@ -386,6 +357,7 @@ let shard_sweep_cmd =
           stderr")
     Term.(const (fun trace metrics telemetry jobs shards seed chains hops
                      weight tiles ->
+              or_exit "shard-sweep" (M3v.Exp_shard.validate ~tile_counts:tiles);
               M3v.Exp_runner.shard_sweep ?trace ?metrics ~telemetry ?jobs
                 ~shards ~seed ~chains ~hops ~weight ~tiles ())
           $ trace $ metrics $ telemetry $ jobs $ sweep_shards $ sweep_seed
@@ -475,6 +447,11 @@ let all_cmd =
    FILE` runs a traced RPC microbenchmark; bare `m3vsim` shows the
    experiment list. *)
 let default =
+  let fig6 =
+    List.find
+      (fun (f : M3v.Exp_runner.figure) -> f.name = "fig6")
+      M3v.Exp_runner.figures
+  in
   Term.ret
     Term.(
       const (fun trace faults fault_seed ->
@@ -483,7 +460,8 @@ let default =
               `Ok
                 (M3v.Exp_runner.chaos ?trace ?faults ~fault_seed ~rounds:5
                    ~ops:120 ())
-          | None, Some _ -> `Ok (M3v.Exp_runner.fig6 ?trace ~rounds:200 ())
+          | None, Some _ ->
+              `Ok (M3v.Exp_runner.run_figure ?trace fig6 200)
           | None, None -> `Help (`Pager, None))
       $ trace $ faults $ fault_seed)
 
@@ -492,13 +470,8 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group ~default info
-          [
-            fig6_cmd;
-            fig7_cmd;
-            fig8_cmd;
-            fig9_cmd;
-            fig10_cmd;
-            voice_cmd;
+          (List.map figure_cmd M3v.Exp_runner.figures
+          @ [
             chaos_cmd;
             migrate_cmd;
             table1_cmd;
@@ -510,4 +483,4 @@ let () =
             shard_report_cmd;
             profile_cmd;
             all_cmd;
-          ]))
+          ])))

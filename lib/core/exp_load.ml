@@ -15,8 +15,8 @@
    output is byte-identical to sequential.  When no external trace is
    active, every step runs under a private trace sink and feeds the
    critical-path profiler, whose per-segment means drive the bottleneck
-   attribution; under an external [--trace] (which already forces
-   sequential execution, and whose sink cannot nest) the attribution is
+   attribution; under an external [--trace] (which already keeps every
+   step inline, and whose sink cannot nest) the attribution is
    reported as unavailable. *)
 
 open M3v_sim.Proc.Syntax
@@ -337,6 +337,7 @@ let validate cfg =
       (cfg.closed || cfg.rate_per_s > 0.0, "rate must be positive");
       (cfg.keys >= 1, "keys must be at least 1");
       (cfg.skew >= 0.0 && cfg.skew < 1.0, "skew must be in [0, 1)");
+      (cfg.duration_ms >= 1, "duration must be at least 1 ms");
     ]
   in
   match List.find_opt (fun (ok, _) -> not ok) checks with

@@ -166,8 +166,14 @@ let faulty_spec = { Fault.none with Fault.mig_abort = 4 }
 
 let default_rates = [ 2_000; 10_000; 40_000 ]
 
+let validate ~rates =
+  match List.find_opt (fun r -> r < 1) rates with
+  | Some r -> Error (Printf.sprintf "rate %d must be at least 1" r)
+  | None -> Ok ()
+
 let run ?(pool = Par.Pool.sequential) ?(rounds = 300) ?(rates = default_rates)
     ?(faulty = false) ?(seed = 11) () =
+  Result.iter_error (fun e -> invalid_arg ("exp_migrate: " ^ e)) (validate ~rates);
   (* Each point owns its system (and, when faulty, its domain-local fault
      plan), so points fan out as independent tasks and merge in
      submission order — byte-identical output across --jobs settings. *)

@@ -22,6 +22,10 @@ type point = {
 
 type result = { rounds : int; faulty : bool; points : point list }
 
+(** [Error reason] unless every rate is at least 1 message/s. *)
+val validate : rates:int list -> (unit, string) Stdlib.result
+
+(** Raises [Invalid_argument] with {!validate}'s reason on bad input. *)
 val run :
   ?pool:M3v_par.Par.Pool.t ->
   ?rounds:int ->

@@ -2,18 +2,6 @@ module Par = M3v_par.Par
 
 let opt v = if v <= 0 then None else Some v
 
-(* Experiments degrade to sequential execution when a trace sink or an
-   ambient fault plan is requested: both are domain-local, so tasks on
-   worker domains would silently escape them — and a shared fault RNG
-   would destroy schedule determinism anyway.  [sequential] names the
-   reason at each call site. *)
-let make_pool ?jobs ~sequential () =
-  if sequential then Par.Pool.sequential else Par.Pool.create ?jobs ()
-
-let with_pool ?jobs ~sequential f =
-  let pool = make_pool ?jobs ~sequential () in
-  Fun.protect ~finally:(fun () -> Par.Pool.shutdown pool) (fun () -> f pool)
-
 let parse_faults s =
   match M3v_fault.Fault.parse s with
   | Ok spec -> spec
@@ -60,8 +48,8 @@ let with_trace trace f =
 
 (* When [metrics] names a file, run the experiment with a metrics registry
    installed, then export JSON there and print the metric tables.  Unlike
-   tracing, metrics do NOT force sequential execution: the pool shards the
-   registry per task and merges in submission order, so parallel metrics
+   a trace sink, a registry does not keep tasks inline: the pool shards
+   it per task and merges in submission order, so parallel metrics
    output is byte-identical to a sequential run's. *)
 let with_metrics metrics f =
   match metrics with
@@ -82,104 +70,74 @@ let with_metrics metrics f =
       Format.printf "@.metrics -> %s@." path;
       M3v_obs.Metrics.print Format.std_formatter reg
 
-(* --telemetry: open a collection window around the run — every
-   multi-shard group created inside registers itself — and print the
-   merged per-K analyzer reports when it closes.  The report goes to
-   stderr, deliberately: telemetry tables vary with the shard count and
-   carry wall-clock times, while the experiment stream on stdout must
-   stay byte-identical with telemetry on or off and across shards/jobs
-   (asserted by tests and the CI diff). *)
-let with_telemetry telemetry f =
-  if not telemetry then f ()
-  else begin
-    M3v_par.Telemetry.start_collecting ();
-    Fun.protect
-      ~finally:(fun () ->
-        M3v_par.Telemetry.pp_groups Format.err_formatter
-          (M3v_par.Telemetry.stop_collecting ()))
-      f
-  end
-
-let needs_seq ~trace ~faults = Option.is_some trace || Option.is_some faults
-
-let fig6 ?trace ?metrics ?faults ?(fault_seed = 1) ?jobs ~rounds () =
-  with_pool ?jobs ~sequential:(needs_seq ~trace ~faults) (fun pool ->
+(* Every experiment runs on a pool of [jobs] domains under the requested
+   fault plan, trace sink and metrics registry.  While a plan or sink is
+   installed the pool runs each task inline on this domain ({!Par}). *)
+let observed ?trace ?metrics ?faults ?(fault_seed = 1) ?jobs f =
+  Par.Pool.with_pool ?jobs (fun pool ->
       with_faults ?faults ~fault_seed (fun () ->
-          with_trace trace (fun () ->
-              with_metrics metrics (fun () ->
-                  Exp_fig6.print (Exp_fig6.run ~pool ?rounds:(opt rounds) ())))))
+          with_trace trace (fun () -> with_metrics metrics (fun () -> f pool))))
 
-let fig7 ?trace ?metrics ?faults ?(fault_seed = 1) ?jobs ~runs () =
-  with_pool ?jobs ~sequential:(needs_seq ~trace ~faults) (fun pool ->
-      with_faults ?faults ~fault_seed (fun () ->
-          with_trace trace (fun () ->
-              with_metrics metrics (fun () ->
-                  Exp_fig7.print (Exp_fig7.run ~pool ?runs:(opt runs) ())))))
+type figure = {
+  name : string;
+  doc : string;
+  count : [ `Rounds | `Runs ];
+  run : Par.Pool.t -> int -> unit -> unit;
+}
 
-let fig8 ?trace ?metrics ?faults ?(fault_seed = 1) ?jobs ~runs () =
-  with_pool ?jobs ~sequential:(needs_seq ~trace ~faults) (fun pool ->
-      with_faults ?faults ~fault_seed (fun () ->
-          with_trace trace (fun () ->
-              with_metrics metrics (fun () ->
-                  Exp_fig8.print (Exp_fig8.run ~pool ?runs:(opt runs) ())))))
+let figure name count doc run print =
+  let run pool n =
+    let r = run pool (opt n) in
+    fun () -> print r
+  in
+  { name; doc; count; run }
 
-let fig9 ?trace ?metrics ?faults ?(fault_seed = 1) ?jobs ~runs () =
-  with_pool ?jobs ~sequential:(needs_seq ~trace ~faults) (fun pool ->
-      with_faults ?faults ~fault_seed (fun () ->
-          with_trace trace (fun () ->
-              with_metrics metrics (fun () ->
-                  Exp_fig9.print (Exp_fig9.run ~pool ?runs:(opt runs) ())))))
+(* The paper's figures, in evaluation order (the order [all] prints). *)
+let figures =
+  [
+    figure "fig6" `Rounds "Figure 6: local/remote RPC vs Linux primitives"
+      (fun pool rounds -> Exp_fig6.run ~pool ?rounds ()) Exp_fig6.print;
+    figure "fig7" `Runs "Figure 7: file read/write throughput"
+      (fun pool runs -> Exp_fig7.run ~pool ?runs ()) Exp_fig7.print;
+    figure "fig8" `Runs "Figure 8: UDP latency"
+      (fun pool runs -> Exp_fig8.run ~pool ?runs ()) Exp_fig8.print;
+    figure "fig9" `Runs "Figure 9: scalability of tile multiplexing (M3x vs M3v)"
+      (fun pool runs -> Exp_fig9.run ~pool ?runs ()) Exp_fig9.print;
+    figure "voice" `Runs "Section 6.5.1: voice assistant sharing overhead"
+      (fun pool runs -> Exp_voice.run ~pool ?runs ()) Exp_voice.print;
+    figure "fig10" `Runs "Figure 10: cloud service (YCSB) vs Linux"
+      (fun pool runs -> Exp_fig10.run ~pool ?runs ()) Exp_fig10.print;
+  ]
 
-let fig10 ?trace ?metrics ?faults ?(fault_seed = 1) ?jobs ~runs () =
-  with_pool ?jobs ~sequential:(needs_seq ~trace ~faults) (fun pool ->
-      with_faults ?faults ~fault_seed (fun () ->
-          with_trace trace (fun () ->
-              with_metrics metrics (fun () ->
-                  Exp_fig10.print (Exp_fig10.run ~pool ?runs:(opt runs) ())))))
+let run_figure ?trace ?metrics ?faults ?fault_seed ?jobs fig n =
+  observed ?trace ?metrics ?faults ?fault_seed ?jobs (fun pool ->
+      fig.run pool n ())
 
-let voice ?trace ?metrics ?faults ?(fault_seed = 1) ?jobs ~runs () =
-  with_pool ?jobs ~sequential:(needs_seq ~trace ~faults) (fun pool ->
-      with_faults ?faults ~fault_seed (fun () ->
-          with_trace trace (fun () ->
-              with_metrics metrics (fun () ->
-                  Exp_voice.print (Exp_voice.run ~pool ?runs:(opt runs) ())))))
-
-let fanin ?trace ?metrics ?faults ?(fault_seed = 1) ?jobs ~msgs ~senders () =
+let fanin ?trace ?metrics ?faults ?fault_seed ?jobs ~msgs ~senders () =
   let sender_counts =
     match senders with [] -> None | counts -> Some counts
   in
-  with_pool ?jobs ~sequential:(needs_seq ~trace ~faults) (fun pool ->
-      with_faults ?faults ~fault_seed (fun () ->
-          with_trace trace (fun () ->
-              with_metrics metrics (fun () ->
-                  Exp_fanin.print
-                    (Exp_fanin.run ~pool ?msgs:(opt msgs) ?sender_counts ())))))
+  observed ?trace ?metrics ?faults ?fault_seed ?jobs (fun pool ->
+      Exp_fanin.print (Exp_fanin.run ~pool ?msgs:(opt msgs) ?sender_counts ()))
 
-let load ?trace ?metrics ?faults ?(fault_seed = 1) ?jobs ~cfg () =
-  with_pool ?jobs ~sequential:(needs_seq ~trace ~faults) (fun pool ->
-      with_faults ?faults ~fault_seed (fun () ->
-          with_trace trace (fun () ->
-              with_metrics metrics (fun () ->
-                  Exp_load.print (Exp_load.run ~pool ~cfg ())))))
+let load ?trace ?metrics ?faults ?fault_seed ?jobs ~cfg () =
+  observed ?trace ?metrics ?faults ?fault_seed ?jobs (fun pool ->
+      Exp_load.print (Exp_load.run ~pool ~cfg ()))
 
 (* Both halves of the ablation in one report: the clean sweep, then the
    same sweep under a [mig_abort] fault plan (installed per task inside
    [Exp_migrate.run], so the points still fan out over the pool). *)
 let migrate ?trace ?metrics ?jobs ?(seed = 11) ~rounds ~rates () =
   let rates = match rates with [] -> None | l -> Some l in
-  with_pool ?jobs ~sequential:(Option.is_some trace) (fun pool ->
-      with_trace trace (fun () ->
-          with_metrics metrics (fun () ->
-              Exp_migrate.print
-                (Exp_migrate.run ~pool ?rounds:(opt rounds) ?rates
-                   ~faulty:false ~seed ());
-              Exp_migrate.print
-                (Exp_migrate.run ~pool ?rounds:(opt rounds) ?rates ~faulty:true
-                   ~seed ()))))
+  observed ?trace ?metrics ?jobs (fun pool ->
+      Exp_migrate.print
+        (Exp_migrate.run ~pool ?rounds:(opt rounds) ?rates ~faulty:false ~seed ());
+      Exp_migrate.print
+        (Exp_migrate.run ~pool ?rounds:(opt rounds) ?rates ~faulty:true ~seed ()))
 
 (* The chaos soak manages its own plan: [Exp_chaos.run] installs the spec
    and seed itself — inside each task, so a sweep can run seeds on worker
-   domains.  Only tracing forces it sequential. *)
+   domains. *)
 let chaos_outcome = function
   | Exp_chaos.Completed r -> Exp_chaos.print r
   | Exp_chaos.Suspended { checkpoints; file } ->
@@ -220,28 +178,27 @@ let chaos ?trace ?faults ?(fault_seed = 7) ?jobs ?(seeds = 1)
            ~every:(M3v_sim.Time.ms ms) ~file:checkpoint_file
            ?stop_after:(Option.bind stop_after opt) ())
   | None, None ->
-      with_pool ?jobs ~sequential:(Option.is_some trace) (fun pool ->
-          with_trace trace (fun () ->
-              Exp_chaos.run_sweep ~pool ?spec ~seed:fault_seed ~seeds
-                ?fs_rounds:(opt rounds) ?kv_ops:(opt ops) ()
-              |> List.iter Exp_chaos.print))
+      observed ?trace ?jobs (fun pool ->
+          Exp_chaos.run_sweep ~pool ?spec ~seed:fault_seed ~seeds
+            ?fs_rounds:(opt rounds) ?kv_ops:(opt ops) ()
+          |> List.iter Exp_chaos.print)
 
-(* The shard sweep is never forced sequential: the sweep itself runs
-   points on the calling domain (only window dispatch uses the pool),
-   and under a trace sink the scheduler falls back to inline windows on
-   its own — so unlike the System experiments, --trace here needs no
-   sequential-pool downgrade. *)
+(* --telemetry prints the analyzer report of every multi-shard point to
+   stderr, deliberately: the tables vary with the shard count and carry
+   wall-clock times, while stdout must stay byte-identical with
+   telemetry on or off and across shards/jobs. *)
 let shard_sweep ?trace ?metrics ?(telemetry = false) ?jobs ?(shards = 4)
     ?(seed = 1) ~chains ~hops ~weight ~tiles () =
   let tile_counts = match tiles with [] -> None | l -> Some l in
-  with_telemetry telemetry (fun () ->
-      with_pool ?jobs ~sequential:false (fun pool ->
-          with_trace trace (fun () ->
-              with_metrics metrics (fun () ->
-                  Exp_shard.print
-                    (Exp_shard.run ~pool ~shards ?chains_per_tile:(opt chains)
-                       ?hops:(opt hops) ?weight:(opt weight) ~seed ?tile_counts
-                       ())))))
+  observed ?trace ?metrics ?jobs (fun pool ->
+      let r =
+        Exp_shard.run ~pool ~telemetry ~shards ?chains_per_tile:(opt chains)
+          ?hops:(opt hops) ?weight:(opt weight) ~seed ?tile_counts ()
+      in
+      Exp_shard.print r;
+      if telemetry then
+        M3v_par.Telemetry.pp_groups Format.err_formatter
+          (List.filter_map (fun p -> p.Exp_shard.p_telemetry) r.points))
 
 (* shard-report: one sharded run with telemetry always on; the analyzer
    tables are the subcommand's stdout deliverable.  [trace] dumps the
@@ -249,7 +206,7 @@ let shard_sweep ?trace ?metrics ?(telemetry = false) ?jobs ?(shards = 4)
    axes), not a simulation trace. *)
 let shard_report ?jobs ?(shards = 4) ?(seed = 1) ?trace ~tiles ~chains ~hops
     ~weight () =
-  with_pool ?jobs ~sequential:false (fun pool ->
+  Par.Pool.with_pool ?jobs (fun pool ->
       let r =
         Exp_shard.report ~pool ?tiles:(opt tiles) ~shards
           ?chains_per_tile:(opt chains) ?hops:(opt hops) ?weight:(opt weight)
@@ -268,9 +225,8 @@ let table1 ?trace () =
 let complexity () = Exp_table1.print_complexity (Exp_table1.run_complexity ())
 
 let ablations ?trace ?jobs () =
-  with_pool ?jobs ~sequential:(Option.is_some trace) (fun pool ->
-      with_trace trace (fun () ->
-          List.iter Ablations.print (Ablations.run_all ~pool ())))
+  observed ?trace ?jobs (fun pool ->
+      List.iter Ablations.print (Ablations.run_all ~pool ()))
 
 (* Critical-path profiler entry point: run one experiment sequentially
    under a private trace sink (flow events need the single-domain sink),
@@ -279,23 +235,24 @@ let ablations ?trace ?jobs () =
    the raw Chrome trace, a flamegraph-style folded-stack file, and the
    metrics registry alongside the profile tables. *)
 let profile ?(exp = "fig6") ?trace ?folded ?metrics ~rounds ~runs () =
+  let fig =
+    match List.find_opt (fun f -> f.name = exp) figures with
+    | Some fig -> fig
+    | None ->
+        (* Shortlex order lists fig10 after fig9. *)
+        let names =
+          List.map (fun f -> (String.length f.name, f.name)) figures
+          |> List.sort compare |> List.map snd
+        in
+        Format.eprintf "m3vsim profile: unknown experiment %S (expected %s)@."
+          exp (String.concat "|" names);
+        exit 2
+  in
+  let n = match fig.count with `Rounds -> rounds | `Runs -> runs in
   let sink = M3v_obs.Trace.make () in
-  let pool = Par.Pool.sequential in
   let run () =
     M3v_obs.Trace.with_sink sink (fun () ->
-        match exp with
-        | "fig6" -> ignore (Exp_fig6.run ~pool ?rounds:(opt rounds) ())
-        | "fig7" -> ignore (Exp_fig7.run ~pool ?runs:(opt runs) ())
-        | "fig8" -> ignore (Exp_fig8.run ~pool ?runs:(opt runs) ())
-        | "fig9" -> ignore (Exp_fig9.run ~pool ?runs:(opt runs) ())
-        | "fig10" -> ignore (Exp_fig10.run ~pool ?runs:(opt runs) ())
-        | "voice" -> ignore (Exp_voice.run ~pool ?runs:(opt runs) ())
-        | other ->
-            Format.eprintf
-              "m3vsim profile: unknown experiment %S (expected \
-               fig6|fig7|fig8|fig9|fig10|voice)@."
-              other;
-            exit 2)
+        ignore (fig.run Par.Pool.sequential n : unit -> unit))
   in
   with_metrics metrics run;
   (match trace with
@@ -317,44 +274,29 @@ let profile ?(exp = "fig6") ?trace ?folded ?metrics ~rounds ~runs () =
    submission order, so the combined report is byte-identical to a
    sequential run. *)
 let all ?jobs () =
-  with_pool ?jobs ~sequential:false (fun pool ->
+  Par.Pool.with_pool ?jobs (fun pool ->
       Par.all pool
-        [
-          (fun () ->
-            let r = Exp_table1.run () in
-            fun () -> Exp_table1.print r);
-          (fun () ->
-            let r = Exp_table1.run_complexity () in
-            fun () -> Exp_table1.print_complexity r);
-          (fun () ->
-            let r = Exp_fig6.run ~pool () in
-            fun () -> Exp_fig6.print r);
-          (fun () ->
-            let r = Exp_fig7.run ~pool () in
-            fun () -> Exp_fig7.print r);
-          (fun () ->
-            let r = Exp_fig8.run ~pool () in
-            fun () -> Exp_fig8.print r);
-          (fun () ->
-            let r = Exp_fig9.run ~pool () in
-            fun () -> Exp_fig9.print r);
-          (fun () ->
-            let r = Exp_voice.run ~pool () in
-            fun () -> Exp_voice.print r);
-          (fun () ->
-            let r = Exp_fig10.run ~pool () in
-            fun () -> Exp_fig10.print r);
-          (fun () ->
-            let r = Ablations.run_all ~pool () in
-            fun () -> List.iter Ablations.print r);
-          (fun () ->
-            let r = Exp_fanin.run ~pool () in
-            fun () -> Exp_fanin.print r);
-          (fun () ->
-            let clean = Exp_migrate.run ~pool ~faulty:false () in
-            let faulty = Exp_migrate.run ~pool ~faulty:true () in
-            fun () ->
-              Exp_migrate.print clean;
-              Exp_migrate.print faulty);
-        ]
+        ([
+           (fun () ->
+             let r = Exp_table1.run () in
+             fun () -> Exp_table1.print r);
+           (fun () ->
+             let r = Exp_table1.run_complexity () in
+             fun () -> Exp_table1.print_complexity r);
+         ]
+        @ List.map (fun fig () -> fig.run pool 0) figures
+        @ [
+            (fun () ->
+              let r = Ablations.run_all ~pool () in
+              fun () -> List.iter Ablations.print r);
+            (fun () ->
+              let r = Exp_fanin.run ~pool () in
+              fun () -> Exp_fanin.print r);
+            (fun () ->
+              let clean = Exp_migrate.run ~pool ~faulty:false () in
+              let faulty = Exp_migrate.run ~pool ~faulty:true () in
+              fun () ->
+                Exp_migrate.print clean;
+                Exp_migrate.print faulty);
+          ])
       |> List.iter (fun print -> print ()))

@@ -6,9 +6,10 @@
     variable via the default), the experiment's independent units — bars,
     sweep points, seeds — fan out over a {!M3v_par.Par} Domain pool of
     that size.  Results are always merged in task-submission order, so
-    parallel and sequential runs print byte-identical output.  Tracing or
-    an ambient fault plan forces sequential execution: both are
-    domain-local and cannot follow tasks onto worker domains.
+    parallel and sequential runs print byte-identical output.  Under a
+    trace sink or an ambient fault plan the pool runs every task inline
+    on the calling domain ({!M3v_par.Par}): both are domain-local and
+    cannot follow tasks onto worker domains.
 
     When [?trace] names a file, the experiment runs with a tracing sink
     installed: on completion a Chrome trace-event JSON file is written
@@ -18,47 +19,34 @@
     When [?metrics] names a file, the experiment runs with a metrics
     registry installed: counters/gauges/histograms (credit stalls, TLB
     miss rate, receive-buffer occupancy, NoC link utilization, ...) are
-    exported there as JSON and printed as text tables.  Unlike tracing,
-    metrics do NOT force sequential execution — the pool shards the
-    registry per task and merges deterministically, so [--jobs 4] output
-    is byte-identical to [--jobs 1].
+    exported there as JSON and printed as text tables.  Unlike a trace
+    sink, a registry does not keep tasks inline — the pool shards it per
+    task and merges deterministically, so [--jobs 4] output is
+    byte-identical to [--jobs 1].
 
     When [?faults] names a {!M3v_fault.Fault.parse}-able spec (e.g.
     ["drop=0.01,dup=0.005,crash=2"]), the experiment runs under a
     deterministic fault plan seeded with [fault_seed] and the injection
-    tally is printed at the end.
+    tally is printed at the end. *)
 
-    When [?telemetry] is [true] (on {!shard_sweep}), every multi-shard
-    group created during the run records per-window telemetry
-    ({!M3v_par.Telemetry}) and the merged analyzer report — per-shard imbalance, limiter attribution,
-    critical-path speedup bound — prints to {e stderr} when the run
-    ends.  Stdout is byte-identical with telemetry on or off: telemetry
-    is a pure observer and its tables (which vary with the shard count
-    and carry wall-clock times) stay in the side channel. *)
+(** One paper figure: a row of {!figures}. *)
+type figure = {
+  name : string;  (** CLI subcommand and [profile] argument *)
+  doc : string;  (** one-line CLI description *)
+  count : [ `Rounds | `Runs ];  (** the CLI flag that sizes the run *)
+  run : M3v_par.Par.Pool.t -> int -> unit -> unit;
+      (** [run pool n] runs the experiment ([n <= 0] picks its default
+          size) and returns the printer of its table. *)
+}
 
-val fig6 :
+(** fig6, fig7, fig8, fig9, voice and fig10, in the paper's evaluation
+    order.  The CLI, {!profile} and {!all} all read this table. *)
+val figures : figure list
+
+(** [run_figure fig n] runs one figure of size [n] and prints it. *)
+val run_figure :
   ?trace:string -> ?metrics:string -> ?faults:string -> ?fault_seed:int ->
-  ?jobs:int -> rounds:int -> unit -> unit
-
-val fig7 :
-  ?trace:string -> ?metrics:string -> ?faults:string -> ?fault_seed:int ->
-  ?jobs:int -> runs:int -> unit -> unit
-
-val fig8 :
-  ?trace:string -> ?metrics:string -> ?faults:string -> ?fault_seed:int ->
-  ?jobs:int -> runs:int -> unit -> unit
-
-val fig9 :
-  ?trace:string -> ?metrics:string -> ?faults:string -> ?fault_seed:int ->
-  ?jobs:int -> runs:int -> unit -> unit
-
-val fig10 :
-  ?trace:string -> ?metrics:string -> ?faults:string -> ?fault_seed:int ->
-  ?jobs:int -> runs:int -> unit -> unit
-
-val voice :
-  ?trace:string -> ?metrics:string -> ?faults:string -> ?fault_seed:int ->
-  ?jobs:int -> runs:int -> unit -> unit
+  ?jobs:int -> figure -> int -> unit
 
 (** Fan-in ablation ({!Exp_fanin}): N senders -> 1 server throughput,
     shared MPMC receive endpoint vs per-sender endpoints.  [msgs <= 0]
@@ -108,9 +96,9 @@ val chaos :
     conservative-lookahead scheduler.  Every point runs sequentially and
     sharded and asserts identical results; wall-clock speedup goes to
     stderr.  [chains]/[hops]/[weight] <= 0 and [tiles = []] pick the
-    defaults.  Unlike the System experiments, [?trace] does not force a
-    sequential pool: the sweep itself never fans out tasks, and the
-    scheduler falls back to inline windows under a sink on its own. *)
+    defaults.  With [telemetry], every multi-shard point records
+    per-window telemetry ({!M3v_par.Telemetry}) and the merged analyzer
+    report prints to {e stderr}; stdout is byte-identical either way. *)
 val shard_sweep :
   ?trace:string -> ?metrics:string -> ?telemetry:bool -> ?jobs:int ->
   ?shards:int -> ?seed:int -> chains:int -> hops:int -> weight:int ->
@@ -134,8 +122,8 @@ val complexity : unit -> unit
     topology, M3x endpoint state). *)
 val ablations : ?trace:string -> ?jobs:int -> unit -> unit
 
-(** Critical-path profiler: run [exp] (["fig6"] default; also
-    [fig7|fig8|fig9|fig10|voice]) sequentially under a trace sink, then
+(** Critical-path profiler: run the {!figures} row named [exp] (["fig6"]
+    default) sequentially under a trace sink, then
     decompose each message flow's end-to-end latency into paper-aligned
     segments (sender command, NoC transit, mux scheduling delay,
     activity-switch cost, buffer wait, server compute, reply) with

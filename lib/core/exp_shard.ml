@@ -214,6 +214,7 @@ type point = {
   p_match : bool;
   p_wall_seq : float;
   p_wall_par : float;
+  p_telemetry : M3v_par.Telemetry.t option;
 }
 
 type result = { points : point list; jobs : int }
@@ -237,7 +238,7 @@ let run_point ?(progress = true) ?(telemetry = false) ~pool ~tiles ~shards
   let seq, wall_seq = timed (fun () -> Shard.run seq_group) in
   let seq = seq_fin seq in
   let par_group, par_fin = build_one ~shards in
-  if telemetry then ignore (Shard.enable_telemetry par_group);
+  let tm = if telemetry then Some (Shard.enable_telemetry par_group) else None in
   let par, wall_par = timed (fun () -> Shard.run ~pool par_group) in
   let par = par_fin par in
   let matches =
@@ -266,14 +267,24 @@ let run_point ?(progress = true) ?(telemetry = false) ~pool ~tiles ~shards
     p_match = matches;
     p_wall_seq = wall_seq;
     p_wall_par = wall_par;
+    p_telemetry = (if Shard.shards par_group > 1 then tm else None);
   }
 
-let run ?(pool = Par.Pool.sequential) ?(shards = 4) ?(chains_per_tile = 4)
-    ?(hops = 32) ?(weight = 512) ?(seed = 1) ?(tile_counts = [ 64; 256 ]) () =
+let validate ~tile_counts =
+  match List.find_opt (fun n -> n < 1) tile_counts with
+  | Some n -> Error (Printf.sprintf "tile count %d must be at least 1" n)
+  | None -> Ok ()
+
+let run ?(pool = Par.Pool.sequential) ?telemetry ?(shards = 4)
+    ?(chains_per_tile = 4) ?(hops = 32) ?(weight = 512) ?(seed = 1)
+    ?(tile_counts = [ 64; 256 ]) () =
+  Result.iter_error (fun e -> invalid_arg ("exp_shard: " ^ e))
+    (validate ~tile_counts);
   let points =
     List.map
       (fun tiles ->
-        run_point ~pool ~tiles ~shards ~chains_per_tile ~hops ~weight ~seed ())
+        run_point ?telemetry ~pool ~tiles ~shards ~chains_per_tile ~hops
+          ~weight ~seed ())
       tile_counts
   in
   { points; jobs = Par.Pool.jobs pool }

@@ -26,16 +26,24 @@ type point = {
   p_match : bool;  (** sharded run identical to sequential run *)
   p_wall_seq : float;  (** wall seconds, sequential reference run *)
   p_wall_par : float;  (** wall seconds, sharded run on the pool *)
+  p_telemetry : M3v_par.Telemetry.t option;
+      (** the sharded run's telemetry, when enabled and [p_shards > 1] *)
 }
 
 type result = { points : point list; jobs : int }
 
+(** [Error reason] unless every tile count is at least 1. *)
+val validate : tile_counts:int list -> (unit, string) Stdlib.result
+
 (** [run ~pool ~shards ~tile_counts ()] sweeps the tile counts.
     [chains_per_tile] (default 4) and [hops] (default 32) size the
     workload; [weight] (default 512) is the rounds of deterministic hash
-    churn per served hop — the CPU weight of one event. *)
+    churn per served hop — the CPU weight of one event.  [telemetry] is
+    passed to every {!run_point}.  Raises [Invalid_argument] with
+    {!validate}'s reason on bad input. *)
 val run :
   ?pool:M3v_par.Par.Pool.t ->
+  ?telemetry:bool ->
   ?shards:int ->
   ?chains_per_tile:int ->
   ?hops:int ->
@@ -51,7 +59,8 @@ val run :
     [telemetry] (default [false]) enables per-window telemetry on the
     sharded run — a pure observer, so the point's results are unchanged
     (asserted by tests); the bench harness uses it to price recording
-    overhead. *)
+    overhead.  The point carries it in [p_telemetry] unless the run was
+    clamped to one shard. *)
 val run_point :
   ?progress:bool ->
   ?telemetry:bool ->

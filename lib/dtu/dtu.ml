@@ -181,7 +181,6 @@ let unread_cell t act =
 
 let unread_of t act = !(unread_cell t act)
 let cur_act t = t.cur
-let cur_unread t = unread_of t t.cur
 
 (* --- endpoint access helpers --- *)
 
@@ -842,12 +841,6 @@ let ack t ~ep msg =
           | None -> ());
           Ok ())
 
-let has_msgs t ~ep =
-  match get_owned_ep t ep with
-  | Ok { Ep.cfg = Ep.Recv r; _ } -> not (Queue.is_empty r.Ep.pending)
-  | Ok { Ep.cfg = Ep.Mpmc_recv mp; _ } -> not (Queue.is_empty mp.Ep.mp_pending)
-  | Ok _ | Error _ -> false
-
 (* Whether [ep] is configured as an MPMC receive endpoint (any owner); the
    tile runtime uses this to charge the cheaper ack cost — releasing an
    MPMC slot is a single MMIO tail-counter store, not a full command. *)
@@ -941,7 +934,6 @@ let switch_act t ~next =
 
 let tlb_insert t ~act ~vpage ~ppage ~perm = Tlb.insert t.tlb ~act ~vpage ~ppage ~perm
 let tlb_invalidate_act t act = Tlb.invalidate_act t.tlb act
-let tlb_invalidate_page t ~act ~vpage = Tlb.invalidate_page t.tlb ~act ~vpage
 let fetch_core_req t = Queue.peek_opt t.core_reqs
 
 let ack_core_req t =
@@ -1119,10 +1111,6 @@ let ext_release_fetched t ~ep =
 let ext_set_moved t ~ep ~dst_tile ~dst_ep =
   check_ep_index t ep;
   Hashtbl.replace t.moved ep (dst_tile, dst_ep)
-
-let ext_clear_moved t ~ep =
-  check_ep_index t ep;
-  Hashtbl.remove t.moved ep
 
 (* Rewrite every send endpoint of this DTU that targets (old_tile, ep) for
    ep in [eps] to target (new_tile, ep): the receive gates behind them

@@ -105,9 +105,6 @@ val mem_write :
   k:completion ->
   unit
 
-(** Whether the endpoint has unread messages (used by polling loops). *)
-val has_msgs : t -> ep:int -> bool
-
 (** Whether [ep] is configured as an MPMC receive endpoint (any owner).
     The tile runtime charges MPMC acks as a single MMIO store (the
     tail-counter bump) instead of a full command round trip. *)
@@ -116,10 +113,6 @@ val is_mpmc : t -> ep:int -> bool
 (** {1 Privileged interface (vDTU)} *)
 
 val cur_act : t -> Dtu_types.act_id
-
-(** Unread-message count of the current activity (the CUR_ACT register's
-    counter field). *)
-val cur_unread : t -> int
 
 val unread_of : t -> Dtu_types.act_id -> int
 
@@ -132,7 +125,6 @@ val tlb_insert :
   t -> act:Dtu_types.act_id -> vpage:int -> ppage:int -> perm:Dtu_types.perm -> unit
 
 val tlb_invalidate_act : t -> Dtu_types.act_id -> unit
-val tlb_invalidate_page : t -> act:Dtu_types.act_id -> vpage:int -> unit
 val tlb : t -> Tlb.t
 
 (** Head of the core-request queue (the activity that received a message
@@ -197,8 +189,6 @@ val ext_release_fetched : t -> ep:int -> int
     to [dst_tile:dst_ep], one extra NoC leg per hop.  Cleared by
     [ext_config]/[ext_invalidate] when the slot is reused. *)
 val ext_set_moved : t -> ep:int -> dst_tile:int -> dst_ep:int -> unit
-
-val ext_clear_moved : t -> ep:int -> unit
 
 (** [ext_retarget t ~old_tile ~new_tile ~eps] rewrites every send endpoint
     of this DTU targeting [(old_tile, ep)] for [ep] in [eps] to

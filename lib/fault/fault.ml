@@ -59,8 +59,11 @@ let parse s =
         let value = String.sub kv (i + 1) (String.length kv - i - 1) in
         let fl () =
           match float_of_string_opt value with
-          | Some f when f >= 0. -> Ok f
-          | _ -> Error (Printf.sprintf "fault spec: bad number for %s: %S" key value)
+          | Some f when f >= 0. && f <= 1. -> Ok f
+          | _ ->
+              Error
+                (Printf.sprintf "fault spec: %s must be a probability in [0,1]: %S"
+                   key value)
         in
         let it () =
           match int_of_string_opt value with
@@ -86,9 +89,17 @@ let parse s =
     String.split_on_char ',' s |> List.map String.trim
     |> List.filter (fun f -> f <> "")
   in
-  List.fold_left
-    (fun acc kv -> Result.bind acc (fun spec -> parse_field spec kv))
-    (Ok none) fields
+  (* [noc_fate] splits one uniform draw among drop, dup and delay. *)
+  let one_draw spec =
+    if spec.drop +. spec.dup +. spec.delay > 1. then
+      Error "fault spec: drop + dup + delay must not exceed 1"
+    else Ok spec
+  in
+  Result.bind
+    (List.fold_left
+       (fun acc kv -> Result.bind acc (fun spec -> parse_field spec kv))
+       (Ok none) fields)
+    one_draw
 
 let spec_to_string spec =
   let b = Buffer.create 64 in

@@ -35,7 +35,9 @@ type spec = {
 val none : spec
 
 (** Parse a ["drop=0.01,dup=0.005,crash=2"]-style spec string.  Unset keys
-    keep their {!none} defaults. *)
+    keep their {!none} defaults.  Probabilities must lie in [0,1], and
+    [drop + dup + delay] must not exceed 1: one uniform draw per packet
+    picks among the three. *)
 val parse : string -> (spec, string) result
 
 val spec_to_string : spec -> string

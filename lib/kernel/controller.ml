@@ -426,9 +426,6 @@ let mx_register_act t ~act =
   snapshot_eps t st a;
   Queue.add act st.ready
 
-let mx_current t ~tile =
-  match Hashtbl.find_opt t.mx_tiles tile with Some s -> s.cur | None -> None
-
 
 let pending_queue st aid =
   match Hashtbl.find_opt st.pending aid with

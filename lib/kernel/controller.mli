@@ -183,9 +183,6 @@ val register_mx_stub : t -> tile:int -> mx_stub -> unit
     in when the controller decides. *)
 val mx_register_act : t -> act:M3v_dtu.Dtu_types.act_id -> unit
 
-(** The activity whose endpoints are currently live on [tile]. *)
-val mx_current : t -> tile:int -> M3v_dtu.Dtu_types.act_id option
-
 (** Start M3x scheduling on a tile after boot (switches the first ready
     activity in). *)
 val mx_kick : t -> tile:int -> unit

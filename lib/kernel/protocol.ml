@@ -102,9 +102,3 @@ let pp_sys_req fmt = function
       Format.fprintf fmt "map_for(act%d, v%#x -> p%#x)" target vpage ppage
   | Act_exit { code } -> Format.fprintf fmt "exit(%d)" code
   | Migrate { mig_tile } -> Format.fprintf fmt "migrate(tile%d)" mig_tile
-
-let pp_sys_reply fmt = function
-  | Ok_unit -> Format.pp_print_string fmt "ok"
-  | Ok_sel s -> Format.fprintf fmt "ok(sel%d)" s
-  | Ok_ep e -> Format.fprintf fmt "ok(ep%d)" e
-  | Sys_err e -> Format.fprintf fmt "err(%s)" e

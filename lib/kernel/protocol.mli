@@ -86,4 +86,3 @@ val sys_req_size : sys_req -> int
 val sys_reply_size : sys_reply -> int
 
 val pp_sys_req : Format.formatter -> sys_req -> unit
-val pp_sys_reply : Format.formatter -> sys_reply -> unit

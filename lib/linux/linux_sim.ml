@@ -106,14 +106,9 @@ let find t pid =
   | None -> invalid_arg (Printf.sprintf "Linux_sim: unknown pid %d" pid)
 
 let finished t pid = (find t pid).st = Dead
-let proc_name t pid = (find t pid).pname
-let all_finished t = Hashtbl.fold (fun _ p acc -> acc && p.st = Dead) t.procs true
 let rusage t pid =
   let p = find t pid in
   (p.user_ps, p.sys_ps)
-
-let total_user t = Hashtbl.fold (fun _ p acc -> acc + p.user_ps) t.procs 0
-let total_sys t = Hashtbl.fold (fun _ p acc -> acc + p.sys_ps) t.procs 0
 
 type bucket = User | Sys
 

@@ -87,6 +87,28 @@ type Controller.mig_image +=
 
 let () = M3v_sim.Checkpoint.register_exts [ [%extension_constructor Image] ]
 
+(* TileMux event counts, bumped in place; [counters] hands out a
+   string-keyed snapshot. *)
+type counts = {
+  mutable ctx_switch : int;
+  mutable core_req : int;
+  mutable tm_rpc : int;
+  mutable fault : int;
+  mutable mx_slow_send : int;
+  mutable mig_park : int;
+  mutable watchdog_kill : int;
+  mutable log : int;
+  mutable mx_block : int;
+  mutable preempt : int;
+  mutable recv_timeout : int;
+  mutable poll : int;
+  mutable poll_wake : int;
+  mutable send_eof : int;
+  mutable respawn : int;
+  mutable mig_install : int;
+  mutable mig_resume : int;
+}
+
 type t = {
   rmode : mode;
   rtile : int;
@@ -108,7 +130,7 @@ type t = {
   mutable tm_cont : (Msg.t -> unit) option;
   tm_queue : (Msg.data * int * (Msg.t -> unit)) Queue.t;
   mutable next_ppage : int;
-  counters : Stats.Counter.t;
+  ctr : counts;
   buckets : (string, bucket) Hashtbl.t;
   mux_bucket : bucket;
   mutable mux_busy_ps : int;
@@ -120,15 +142,28 @@ type t = {
 
 let mode t = t.rmode
 let tile t = t.rtile
-let counters t = t.counters
+let counters t =
+  let c = Stats.Counter.create () and n = t.ctr in
+  List.iter
+    (fun (key, v) -> if v > 0 then Stats.Counter.add c key (float_of_int v))
+    [
+      ("ctx_switch", n.ctx_switch); ("core_req", n.core_req);
+      ("tm_rpc", n.tm_rpc); ("fault", n.fault);
+      ("mx_slow_send", n.mx_slow_send); ("mig_park", n.mig_park);
+      ("watchdog_kill", n.watchdog_kill); ("log", n.log);
+      ("mx_block", n.mx_block); ("preempt", n.preempt);
+      ("recv_timeout", n.recv_timeout); ("poll", n.poll);
+      ("poll_wake", n.poll_wake); ("send_eof", n.send_eof);
+      ("respawn", n.respawn); ("mig_install", n.mig_install);
+      ("mig_resume", n.mig_resume);
+    ];
+  c
 let mux_busy t = t.mux_busy_ps
 
 let find t aid =
   match Hashtbl.find_opt t.acts aid with
   | Some a -> a
   | None -> invalid_arg (Printf.sprintf "Runtime: unknown activity %d on tile %d" aid t.rtile)
-
-let busy_of t aid = (find t aid).busy_ps
 
 let bucket t name =
   match Hashtbl.find_opt t.buckets name with
@@ -241,7 +276,7 @@ and do_dispatch t =
         | Ready ->
             a.st <- Running;
             t.current <- Some aid;
-            Stats.Counter.incr t.counters "ctx_switch";
+            t.ctr.ctx_switch <- t.ctr.ctx_switch + 1;
             mux_instant t "ctx_switch";
             (* Schedule + register/address-space switch + the vDTU's atomic
                activity-switch command (2 MMIO accesses). *)
@@ -302,7 +337,7 @@ and handle_core_reqs t ~k =
         k ()
     | Some target ->
         t.in_mux <- true;
-        Stats.Counter.incr t.counters "core_req";
+        t.ctr.core_req <- t.ctr.core_req + 1;
         let entry = if first then t.core.Core_model.trap_cycles else 0 in
         charge_mux t (entry + t.core.Core_model.core_req_cycles) (fun () ->
             if target = tilemux_act then
@@ -367,7 +402,7 @@ and tm_rpc_now t data ~size ~on_reply =
   match t.pager_sgate with
   | None -> failwith "Runtime: page fault but no pager channel configured"
   | Some sgate ->
-      Stats.Counter.incr t.counters "tm_rpc";
+      t.ctr.tm_rpc <- t.ctr.tm_rpc + 1;
       mux_instant t "tm_rpc";
       t.tm_cont <- Some on_reply;
       charge_mux t
@@ -402,7 +437,7 @@ and tm_pump t =
 
 and pagefault t (a : arec) ~vpage ~write ~k =
   Addrspace.note_fault a.addr;
-  Stats.Counter.incr t.counters "fault";
+  t.ctr.fault <- t.ctr.fault + 1;
   if Trace.on () then
     Trace.instant ~cat:"mux" ~name:"fault" ~tile:t.rtile ~act:a.aid
       ~ts:(Engine.now t.engine)
@@ -476,7 +511,7 @@ and send_ctl t (a : arec) data ~k =
       attempt ())
 
 and mx_slow_send t (a : arec) ~ep ~reply_ep ~size ~data ~k =
-  Stats.Counter.incr t.counters "mx_slow_send";
+  t.ctr.mx_slow_send <- t.ctr.mx_slow_send + 1;
   match (Dtu.ext_read_ep t.dtu ~ep).Ep.cfg with
   | Ep.Send s ->
       let reply_to =
@@ -495,7 +530,7 @@ and mx_slow_send t (a : arec) ~ep ~reply_ep ~size ~data ~k =
       failwith "Runtime: slow-path send on a non-send endpoint"
 
 and mx_slow_reply t (a : arec) ~(to_msg : Msg.t) ~size ~data ~k =
-  Stats.Counter.incr t.counters "mx_slow_send";
+  t.ctr.mx_slow_send <- t.ctr.mx_slow_send + 1;
   match to_msg.Msg.reply_to with
   | None -> failwith "Runtime: slow-path reply without reply endpoint"
   | Some (dst_tile, dst_ep) ->
@@ -553,7 +588,7 @@ and mig_park_now t (a : arec) action =
   end;
   Hashtbl.remove t.acts a.aid;
   t.spawn_order <- List.filter (fun id -> id <> a.aid) t.spawn_order;
-  Stats.Counter.incr t.counters "mig_park";
+  t.ctr.mig_park <- t.ctr.mig_park + 1;
   mux_instant t "mig_park";
   if was_current && t.rmode = M3v_mode then schedule_dispatch t;
   park
@@ -597,7 +632,7 @@ and watchdog_fire t ~aid ~epoch ~busy0 =
     | Some a -> (
         match a.st with
         | Running when a.busy_ps = busy0 ->
-            Stats.Counter.incr t.counters "watchdog_kill";
+            t.ctr.watchdog_kill <- t.ctr.watchdog_kill + 1;
             mux_instant t "watchdog_kill";
             act_finished t a ~code:137
         | Running | Stalled -> arm_watchdog t a
@@ -649,7 +684,7 @@ and interp_op t (a : arec) op (k : Proc.resp -> unit) =
   | Op_memcpy bytes -> compute_chunks t a (Core_model.memcpy_cycles t.core bytes) k
   | Op_now -> charge_act t a 6 (fun () -> k (R_time (Engine.now t.engine)))
   | Op_log line ->
-      Stats.Counter.incr t.counters "log";
+      t.ctr.log <- t.ctr.log + 1;
       ignore line;
       k Proc.Unit
   | Op_acct name ->
@@ -754,7 +789,7 @@ and interp_yield t (a : arec) k =
             schedule_dispatch t)
       else charge_act t a t.core.Core_model.trap_cycles (fun () -> k Proc.Unit)
   | M3x_mode ->
-      Stats.Counter.incr t.counters "mx_block";
+      t.ctr.mx_block <- t.ctr.mx_block + 1;
       send_ctl t a Proto.Mx_yield ~k:(fun () ->
           a.st <- Blocked_recv;
           a.resume <- Some (fun () -> k Proc.Unit))
@@ -774,7 +809,7 @@ and compute_chunks t (a : arec) cycles k =
           if a.slice_left <= 0 then
             if t.rmode = M3v_mode && others_ready t then begin
               (* Timer preemption: round-robin to the next activity. *)
-              Stats.Counter.incr t.counters "preempt";
+              t.ctr.preempt <- t.ctr.preempt + 1;
               mux_instant t "preempt";
               charge_mux t t.core.Core_model.trap_cycles (fun () ->
                   a.st <- Ready;
@@ -821,7 +856,7 @@ and recv_loop t (a : arec) ?deadline eps k =
             | None -> false
           in
           if expired then begin
-            Stats.Counter.incr t.counters "recv_timeout";
+            t.ctr.recv_timeout <- t.ctr.recv_timeout + 1;
             mux_instant t "recv_timeout";
             k R_recv_timeout
           end
@@ -843,7 +878,7 @@ and recv_loop t (a : arec) ?deadline eps k =
                 (* Nothing else to run: poll the vDTU (paper, 3.7).  The
                    wait is not charged to the activity's accounting
                    bucket: it is idle occupancy, not attributable work. *)
-                Stats.Counter.incr t.counters "poll";
+                t.ctr.poll <- t.ctr.poll + 1;
                 a.st <- Polling;
                 a.wait_eps <- eps;
                 a.resume <- Some (fun () -> recv_loop t a ?deadline eps k);
@@ -855,13 +890,13 @@ and recv_loop t (a : arec) ?deadline eps k =
                    wakes it on message arrival, without the controller —
                    M3x retains the fast path while the recipient is
                    running (paper, section 2.2). *)
-                Stats.Counter.incr t.counters "poll";
+                t.ctr.poll <- t.ctr.poll + 1;
                 a.st <- Polling;
                 a.wait_eps <- eps;
                 a.resume <- Some (fun () -> recv_loop t a eps k)
               end
               else begin
-                Stats.Counter.incr t.counters "mx_block";
+                t.ctr.mx_block <- t.ctr.mx_block + 1;
                 a.st <- Blocked_recv;
                 a.wait_eps <- eps;
                 a.resume <- Some (fun () -> recv_loop t a eps k);
@@ -887,7 +922,7 @@ and arm_recv_deadline t (a : arec) ?deadline () =
                   make_ready t a;
                   schedule_dispatch t
               | Polling when t.current = Some aid ->
-                  Stats.Counter.incr t.counters "poll_wake";
+                  t.ctr.poll_wake <- t.ctr.poll_wake + 1;
                   a.st <- Running;
                   arm_watchdog t a;
                   charge_act t a (2 * t.core.Core_model.mmio_cycles) (fun () ->
@@ -924,7 +959,7 @@ and do_send t (a : arec) ~ep ~reply_ep ~vaddr ~size ~data ~k =
                    send is dropped and the program carries on (it observes
                    the failure at the protocol level, e.g. a reply
                    deadline). *)
-                Stats.Counter.incr t.counters "send_eof";
+                t.ctr.send_eof <- t.ctr.send_eof + 1;
                 mux_instant t "send_eof";
                 k Proc.Unit
             | Error e ->
@@ -951,7 +986,7 @@ and do_reply t (a : arec) ~recv_ep ~msg ~vaddr ~size ~data ~k =
                 mx_slow_reply t a ~to_msg:msg ~size ~data ~k:(fun () -> k Proc.Unit)
             | Error (Recv_gone | Timeout) when t.rmode = M3v_mode && Fault.on () ->
                 (* Replying to a dead client: drop it (EOF semantics). *)
-                Stats.Counter.incr t.counters "send_eof";
+                t.ctr.send_eof <- t.ctr.send_eof + 1;
                 mux_instant t "send_eof";
                 k Proc.Unit
             | Error e ->
@@ -999,7 +1034,7 @@ let on_msg_arrived t owner =
   | None -> ()
   | Some a ->
       if t.current = Some owner && a.st = Polling then begin
-        Stats.Counter.incr t.counters "poll_wake";
+        t.ctr.poll_wake <- t.ctr.poll_wake + 1;
         mux_instant t "wake";
         a.st <- Running;
         arm_watchdog t a;
@@ -1054,7 +1089,7 @@ let respawn t ~act =
   a.started <- false;
   a.wake_sent <- false;
   a.wait_token <- a.wait_token + 1;
-  Stats.Counter.incr t.counters "respawn";
+  t.ctr.respawn <- t.ctr.respawn + 1;
   mux_instant t "respawn";
   Queue.add a.aid t.runq;
   if t.rmode = M3v_mode then schedule_dispatch t
@@ -1121,7 +1156,7 @@ let mig_install t ~image ~sys_sgate ~sys_rgate =
       in
       Hashtbl.replace t.acts im_aid a;
       t.spawn_order <- t.spawn_order @ [ im_aid ];
-      Stats.Counter.incr t.counters "mig_install";
+      t.ctr.mig_install <- t.ctr.mig_install + 1;
       mux_instant t "mig_install"
   | _ -> invalid_arg "Runtime: foreign migration image"
 
@@ -1132,7 +1167,7 @@ let mig_resume t ~act =
       (Printf.sprintf "Runtime.mig_resume: activity %s is not parked" a.aname);
   a.st <- Ready;
   Queue.add a.aid t.runq;
-  Stats.Counter.incr t.counters "mig_resume";
+  t.ctr.mig_resume <- t.ctr.mig_resume + 1;
   mux_instant t "mig_resume";
   if t.rmode = M3v_mode then schedule_dispatch t
 
@@ -1184,7 +1219,7 @@ let install_mx_stub t =
                 mx_resume_act t a;
                 k ())
           else begin
-            Stats.Counter.incr t.counters "ctx_switch";
+            t.ctr.ctx_switch <- t.ctr.ctx_switch + 1;
             mux_instant t "ctx_switch";
             charge_mux t (t.core.Core_model.ctx_switch_cycles / 2) (fun () ->
                 t.current <- Some aid;
@@ -1237,7 +1272,14 @@ let create ~mode ~controller ~tile ?(timeslice = Time.ms 1) () =
       tm_cont = None;
       tm_queue = Queue.create ();
       next_ppage = 0x1000;
-      counters = Stats.Counter.create ();
+      ctr =
+        {
+          ctx_switch = 0; core_req = 0; tm_rpc = 0; fault = 0;
+          mx_slow_send = 0; mig_park = 0; watchdog_kill = 0; log = 0;
+          mx_block = 0; preempt = 0; recv_timeout = 0; poll = 0;
+          poll_wake = 0; send_eof = 0; respawn = 0; mig_install = 0;
+          mig_resume = 0;
+        };
       buckets;
       mux_bucket;
       mux_busy_ps = 0;

@@ -74,15 +74,13 @@ val finished : t -> M3v_dtu.Dtu_types.act_id -> bool
 (** All spawned activities finished. *)
 val all_finished : t -> bool
 
-(** Simulated time this activity kept the core busy. *)
-val busy_of : t -> M3v_dtu.Dtu_types.act_id -> M3v_sim.Time.t
-
 (** Busy time by accounting bucket ("user" by default; programs switch with
     [Act_api.acct]). *)
 val busy_of_bucket : t -> string -> float
 
-(** Event counters: "ctx_switch", "core_req", "preempt", "fault",
-    "tm_rpc", "poll_wake", "mx_slow_send", "mx_block". *)
+(** A snapshot of the event counters ("ctx_switch", "core_req",
+    "preempt", "fault", "tm_rpc", "poll", "poll_wake", "mx_slow_send",
+    "mx_block", ...): later activity does not change it. *)
 val counters : t -> M3v_sim.Stats.Counter.t
 
 (** Time charged to multiplexer bookkeeping on this tile. *)

@@ -224,8 +224,6 @@ let set_size t ino sz = (node t ino).n_size <- max (node t ino).n_size sz
 (* Extents are stored reversed (most recent first); walk in file order. *)
 let extents_in_order f = List.rev f.extents
 
-let extent_count t ino = List.length (file_extents (node t ino)).extents
-
 (* Find the extent containing file byte [off]: returns
    (region byte offset of window start, window byte length, file offset of
    window start). *)

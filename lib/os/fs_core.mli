@@ -67,7 +67,6 @@ val preallocate : t -> ino -> blocks:int -> unit
     of the file, clipped to the file size.  For inline reads/writes. *)
 val segments : t -> ino -> off:int -> len:int -> (int * int) list
 
-val extent_count : t -> ino -> int
 val is_dir : t -> ino -> bool
 
 (** Invariants checked by property tests: no block is referenced twice, all

@@ -5,6 +5,13 @@
    in submission order by [map]/[all].  The pool only decides *where* a
    task runs, never in what order results are observed.
 
+   The one rule for domain-local run state: a trace sink or fault plan
+   lives in the submitting domain's storage and cannot follow a task
+   onto a worker (and a foreign task run under it would feed the wrong
+   trace / fault RNG).  So while either is installed on the calling
+   domain, [submit] runs tasks inline exactly as the sequential pool
+   does, [await] does not help, and {!Pool.parallel} is false.
+
    Liveness argument for the helping await: a future is only Pending
    while its task is either still in the pool queue (in which case any
    awaiter, including the one that needs it, can pop and run it) or
@@ -34,6 +41,9 @@ module Pool = struct
 
   let sequential = Seq
   let jobs = function Seq -> 1 | Par p -> p.njobs
+
+  let domain_local_state () = M3v_obs.Trace.on () || M3v_fault.Fault.on ()
+  let parallel t = jobs t > 1 && not (domain_local_state ())
 
   let default_jobs () =
     match Sys.getenv_opt "M3V_JOBS" with
@@ -130,8 +140,7 @@ let submit pool f =
     | Some (wrapped, m) -> (wrapped, Some m)
   in
   match pool with
-  | Seq -> completed_future ?merge (run_to_state f)
-  | Par p ->
+  | Par p when Pool.parallel pool ->
       let fut =
         {
           state = Atomic.make Pending;
@@ -159,11 +168,7 @@ let submit pool f =
       Condition.signal p.qcv;
       Mutex.unlock p.qm;
       fut
-
-(* Helping is suppressed while this domain runs under an installed trace
-   sink or fault plan: executing a foreign task in that ambient state
-   would feed its events into the wrong trace / fault RNG. *)
-let may_help () = not (M3v_obs.Trace.on () || M3v_fault.Fault.on ())
+  | Seq | Par _ -> completed_future ?merge (run_to_state f)
 
 let try_steal p =
   Mutex.lock p.qm;
@@ -189,7 +194,7 @@ let rec await fut =
       Printexc.raise_with_backtrace e bt
   | Pending -> (
       match fut.home with
-      | Some p when may_help () -> (
+      | Some p when not (Pool.domain_local_state ()) -> (
           match try_steal p with
           | Some task ->
               task ();

@@ -16,7 +16,13 @@
     A pool of size 1 (or {!Pool.sequential}) degenerates to immediate
     inline execution on the calling domain — no Domains are spawned and
     submission order is execution order, which is the reference behaviour
-    the parallel mode must reproduce byte for byte. *)
+    the parallel mode must reproduce byte for byte.
+
+    Domain-local run state: a trace sink or fault plan installed on the
+    submitting domain cannot follow a task onto a worker.  While either
+    is installed, every pool behaves as {!Pool.sequential}: tasks run
+    inline at submission, in submission order, on the calling domain.
+    This is the only place that rule is decided. *)
 
 module Pool : sig
   type t
@@ -34,6 +40,11 @@ module Pool : sig
   (** Worker count the pool was sized for (>= 1). *)
   val jobs : t -> int
 
+  (** [parallel t] is [true] when a task submitted now from this domain
+      may run on another domain: [jobs t > 1] and no trace sink or fault
+      plan is installed here. *)
+  val parallel : t -> bool
+
   (** Stop the workers.  Idempotent; pending tasks are finished first. *)
   val shutdown : t -> unit
 
@@ -44,7 +55,8 @@ end
 
 type 'a future
 
-(** [submit pool f] enqueues [f].  On a sequential pool, [f] runs
+(** [submit pool f] enqueues [f].  On a sequential pool, or while the
+    calling domain has a trace sink or fault plan installed, [f] runs
     immediately on the calling domain.  Exceptions raised by [f] are
     captured and re-raised (with their backtrace) by {!await}.
 
@@ -58,9 +70,9 @@ val submit : Pool.t -> (unit -> 'a) -> 'a future
 (** Wait for a future.  While waiting, the calling domain executes other
     queued tasks of the same pool ("helping"), so nested fan-out —
     a task that itself submits and awaits subtasks — cannot deadlock a
-    fixed-size pool.  Helping is suppressed while the calling domain has
-    a trace sink or fault plan installed, because a foreign task running
-    under them would corrupt both runs. *)
+    fixed-size pool.  Under the same rule as {!submit}, the calling
+    domain does not help while it has a trace sink or fault plan
+    installed: a foreign task run under them would corrupt both runs. *)
 val await : 'a future -> 'a
 
 (** [map pool f xs] submits [f x] for every element and awaits the

@@ -41,12 +41,11 @@
    models that mix the two at equal times must impose content-keyed
    ordering at the consumption point (see Exp_shard's mailbox discipline).
 
-   Worker-domain hygiene mirrors {!Par}: windows run inline (in shard
-   order, on the calling domain) whenever a trace sink or fault plan is
-   installed — both live in domain-local storage and would not follow
-   shards onto workers — and metrics recorded inside pooled windows go
-   through {!Par.submit}'s per-task shards, merged in submission (= shard
-   index) order.
+   Worker-domain hygiene is {!Par}'s: a window goes to the pool only when
+   {!Par.Pool.parallel} holds, so under a trace sink or fault plan windows
+   run inline in shard order on the calling domain, and metrics recorded
+   inside pooled windows go through {!Par.submit}'s per-task shards,
+   merged in submission (= shard index) order.
 
    The structure is marshal-safe by construction: engines, buffers and
    counters only — no Domains, Atomics or pool handles — so a sharded
@@ -104,14 +103,6 @@ let create ?(parallel_threshold = 64) ~lookahead ~shards () =
       telem = None;
     }
   in
-  (* While a telemetry collection is open (--telemetry), every
-     multi-shard group reports into it; single-shard groups are the
-     sequential references inside sweeps and would only add noise. *)
-  if shards > 1 && Telemetry.collecting () then begin
-    let tm = Telemetry.make ~cap:(Telemetry.collector_cap ()) ~shards () in
-    Telemetry.register tm;
-    t.telem <- Some tm
-  end;
   t
 
 let enable_telemetry ?cap t =
@@ -231,9 +222,6 @@ let min2 t =
 
 let add_sat a b = if a >= inf - b then inf else a + b
 
-let may_parallelize () =
-  not (M3v_obs.Trace.on () || M3v_fault.Fault.on ())
-
 (* One synchronization window: compute per-shard bounds, run every shard
    that has work inside its bound (on the pool when the window is worth a
    barrier, else inline in shard order), then flush the cross-shard
@@ -316,8 +304,7 @@ let run_window ~pool ?until ?max_events t =
           match busy with
           | [] | [ _ ] -> List.map run_one busy
           | _ :: _ :: _
-            when Par.Pool.jobs pool > 1 && may_parallelize () && enough_work ()
-            ->
+            when Par.Pool.parallel pool && enough_work () ->
               t.parallel_windows <- t.parallel_windows + 1;
               pooled := true;
               Par.all pool (List.map (fun i () -> run_one i) busy)

@@ -27,10 +27,9 @@
     the two at equal times must order at the consumption point by message
     content, not arrival order (see [Exp_shard]'s mailbox discipline).
 
-    Windows run on a {!Par.Pool.t} when the available work clears a
-    threshold, inline (in shard index order) otherwise — and always inline
-    while a trace sink or fault plan is installed, since both live in
-    domain-local storage invisible to worker domains.
+    Windows run on a {!Par.Pool.t} when {!Par.Pool.parallel} holds and the
+    available work clears a threshold, inline (in shard index order)
+    otherwise.
 
     A [t] is marshal-safe (no Domains, Atomics, or pool handles inside;
     the pool is an argument of {!run}, never stored), so sharded
@@ -103,11 +102,7 @@ val stats : 'm t -> stats
 (** {1 Telemetry}
 
     Per-window records and aggregates ({!Telemetry}) — a pure observer:
-    enabling it never changes scheduling decisions or experiment output.
-    While a collection is open ({!Telemetry.start_collecting}, i.e.
-    [--telemetry]), {!create} enables telemetry automatically on every
-    multi-shard group and registers it with the collector; single-shard
-    groups (the sequential references inside sweeps) are skipped. *)
+    enabling it never changes scheduling decisions or experiment output. *)
 
 (** Enable telemetry on [t] (idempotent — returns the existing instance
     if already enabled).  [cap] bounds retained per-window records;

@@ -25,9 +25,7 @@
 
    Marshal-safety: a [t] lives inside a checkpointed {!Shard.t}, so it is
    plain data — int/bool/array records and a {!M3v_sim.Stats.Histogram}
-   (an int-array record) — never Atomics, Mutexes, or closures.  The
-   collector's shared state lives at module level and is not reachable
-   from any [t].
+   (an int-array record) — never Atomics, Mutexes, or closures.
 
    After a checkpoint/resume the process changes, and monotonic readings
    from the old process are meaningless in the new one: event counts and
@@ -398,36 +396,3 @@ let to_sink t =
   s
 
 let write_chrome path t = Chrome.write_file path (to_sink t)
-
-(* {1 Collector} — process-global, explicitly outside any [t] so groups
-   stay marshal-safe.  [register] may run on worker domains (experiment
-   steps build Systems inside pool tasks), hence the mutex. *)
-
-let collecting_flag = Atomic.make false
-let collect_cap = Atomic.make default_cap
-let reg_lock = Mutex.create ()
-let registry : t list ref = ref []
-
-let collecting () = Atomic.get collecting_flag
-
-let register tm =
-  Mutex.lock reg_lock;
-  registry := tm :: !registry;
-  Mutex.unlock reg_lock
-
-let start_collecting ?(cap = default_cap) () =
-  Mutex.lock reg_lock;
-  registry := [];
-  Mutex.unlock reg_lock;
-  Atomic.set collect_cap cap;
-  Atomic.set collecting_flag true
-
-let stop_collecting () =
-  Atomic.set collecting_flag false;
-  Mutex.lock reg_lock;
-  let out = List.rev !registry in
-  registry := [];
-  Mutex.unlock reg_lock;
-  out
-
-let collector_cap () = Atomic.get collect_cap

@@ -1,5 +1,5 @@
-(** Per-window shard telemetry: records, aggregates, analyzer, Chrome
-    lanes, and a process-global collector.
+(** Per-window shard telemetry: records, aggregates, analyzer and Chrome
+    lanes.
 
     The scheduler ({!Shard}) records one {!window} per synchronization
     window when telemetry is enabled on a group: per-shard events and
@@ -150,22 +150,3 @@ val to_sink : t -> M3v_obs.Trace.sink
     (installation resets run-local trace allocators). *)
 
 val write_chrome : string -> t -> unit
-
-(** {1 Collector} — how [--telemetry] finds groups created deep inside
-    experiments.  While collecting, {!Shard.create} auto-enables
-    telemetry on every multi-shard group and registers it here.  The
-    collector state is process-global and outside any [t] (marshal
-    safety); [register] is thread-safe. *)
-
-val start_collecting : ?cap:int -> unit -> unit
-(** Reset the registry and enable collection ([cap] = retained windows
-    per group). *)
-
-val stop_collecting : unit -> t list
-(** Disable collection and drain the registry, registration order. *)
-
-val collecting : unit -> bool
-
-val register : t -> unit
-
-val collector_cap : unit -> int

@@ -49,10 +49,6 @@ let summarize xs =
         median = percentile 50.0 xs;
       }
 
-let pp_summary fmt s =
-  Format.fprintf fmt "n=%d mean=%.3f sd=%.3f min=%.3f med=%.3f max=%.3f" s.n
-    s.mean s.stddev s.min s.median s.max
-
 module Histogram = struct
   (* Log-linear bucketing (HDR style): values are grouped by the position
      of their most significant bit, with [sub_bits] linear sub-buckets per
@@ -176,12 +172,10 @@ module Counter = struct
         r
 
   let add t key v = cell t key := !(cell t key) +. v
-  let incr t key = add t key 1.0
   let get t key = match Hashtbl.find_opt t key with Some r -> !r | None -> 0.0
 
   let to_list t =
     Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-  let reset t = Hashtbl.reset t
 end

@@ -18,8 +18,6 @@ val stddev : float list -> float
 (** [percentile p xs] with [p] in [0, 100], linear interpolation. *)
 val percentile : float -> float list -> float
 
-val pp_summary : Format.formatter -> summary -> unit
-
 (** A constant-memory log-linear histogram (HDR style) for latency
     distributions.  Values are bucketed by power of two with 64 linear
     sub-buckets, so quantiles carry a bounded relative error (< ~1.6%)
@@ -48,15 +46,13 @@ module Histogram : sig
   val pp : Format.formatter -> t -> unit
 end
 
-(** An accumulating counter keyed by string, used for runtime accounting
-    (user/system time, per-component cycles, event counts). *)
+(** An accumulating counter keyed by string: the snapshot type that
+    [Runtime.counters] hands out. *)
 module Counter : sig
   type t
 
   val create : unit -> t
   val add : t -> string -> float -> unit
-  val incr : t -> string -> unit
   val get : t -> string -> float
   val to_list : t -> (string * float) list
-  val reset : t -> unit
 end

@@ -72,7 +72,14 @@ let test_parse_spec () =
   bad "bogus=1";
   bad "drop";
   bad "drop=-0.5";
-  bad "crash=1.5"
+  bad "crash=1.5";
+  bad "drop=2";
+  bad "cmd_fail=1.5";
+  bad "drop=0.6,dup=0.6";
+  bad "drop=0.5,dup=0.3,delay=0.3";
+  (match Fault.parse "drop=0.5,dup=0.3,delay=0.2" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "drop + dup + delay = 1 rejected: %s" e)
 
 let prop_spec_roundtrip =
   QCheck.Test.make ~name:"fault spec survives print/parse round trip"
@@ -91,9 +98,11 @@ let prop_spec_roundtrip =
           hang = h;
         }
       in
+      (* One draw picks among drop, dup and delay: a spec whose three
+         probabilities sum above 1 is rejected, every other round-trips. *)
       match Fault.parse (Fault.spec_to_string spec) with
-      | Ok s -> s = spec
-      | Error _ -> false)
+      | Ok s -> spec.drop +. spec.dup +. spec.delay <= 1. && s = spec
+      | Error _ -> spec.drop +. spec.dup +. spec.delay > 1.)
 
 (* --- gating: without a plan every hook is inert --- *)
 

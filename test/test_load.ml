@@ -435,6 +435,7 @@ let test_bad_configs_rejected () =
       ("zero open-loop rate", { d with rate_per_s = 0.0 });
       ("no keys", { d with keys = 0 });
       ("skew of 1", { d with skew = 1.0 });
+      ("zero duration", { d with duration_ms = 0 });
     ]
   in
   List.iter
@@ -462,6 +463,20 @@ let test_bad_configs_rejected () =
       Alcotest.check_raises "fanin: run raises"
         (Invalid_argument ("exp_fanin: " ^ reason))
         (fun () -> ignore (F.run ~sender_counts:[ 4; 0 ] ())));
+  let module Mg = M3v.Exp_migrate in
+  (match Mg.validate ~rates:[ 2_000; -5 ] with
+  | Ok () -> Alcotest.fail "migrate: negative rate accepted"
+  | Error reason ->
+      Alcotest.check_raises "migrate: run raises"
+        (Invalid_argument ("exp_migrate: " ^ reason))
+        (fun () -> ignore (Mg.run ~rates:[ 2_000; -5 ] ())));
+  let module S = M3v.Exp_shard in
+  (match S.validate ~tile_counts:[ 64; -64 ] with
+  | Ok () -> Alcotest.fail "shard-sweep: negative tile count accepted"
+  | Error reason ->
+      Alcotest.check_raises "shard-sweep: run raises"
+        (Invalid_argument ("exp_shard: " ^ reason))
+        (fun () -> ignore (S.run ~tile_counts:[ 64; -64 ] ())));
   check_bool "fanin: default and single-sender sweeps accepted" true
     (F.validate ~sender_counts:[] = Ok ()
     && F.validate ~sender_counts:[ 1 ] = Ok ())

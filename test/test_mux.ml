@@ -152,11 +152,14 @@ let test_three_activities_round_robin () =
            Proc.return ()))
   done;
   System.boot sys;
+  let before = M3v_mux.Runtime.counters (System.runtime sys ~tile:1) in
   ignore (System.run sys);
   let rt = System.runtime sys ~tile:1 in
   check_bool "all finished" true (M3v_mux.Runtime.all_finished rt);
   let preempts = Stats.Counter.get (M3v_mux.Runtime.counters rt) "preempt" in
   check_bool "preemptions happened" true (preempts > 10.0);
+  check_bool "an earlier snapshot does not move" true
+    (Stats.Counter.get before "preempt" = 0.0);
   (* Round robin: finish times must be interleaved, i.e. all within the
      last ~two timeslices of each other. *)
   let fmin = Array.fold_left min finish_times.(0) finish_times in

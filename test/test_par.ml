@@ -23,17 +23,54 @@ let test_par_results_in_order () =
         results)
 
 let test_par_sequential_pool_inline () =
-  (* The sequential pool runs tasks at submission on the calling domain:
-     side effects happen in submission order, before await. *)
-  let log = ref [] in
-  let fs =
-    List.map
-      (fun i -> Par.submit Par.Pool.sequential (fun () -> log := i :: !log; i))
-      [ 1; 2; 3 ]
+  (* Tasks run at submission on the calling domain — side effects happen
+     in submission order, before await — on the sequential pool, and on a
+     4-job pool while a trace sink or fault plan is installed. *)
+  let cases =
+    [
+      ("sequential pool", fun k -> k Par.Pool.sequential);
+      ( "4 jobs under a trace sink",
+        fun k ->
+          Par.Pool.with_pool ~jobs:4 (fun pool ->
+              M3v_obs.Trace.with_sink (M3v_obs.Trace.make ()) (fun () ->
+                  k pool)) );
+      ( "4 jobs under a fault plan",
+        fun k ->
+          Par.Pool.with_pool ~jobs:4 (fun pool ->
+              M3v_fault.Fault.with_plan
+                (M3v_fault.Fault.create ~seed:1 M3v_fault.Fault.none)
+                (fun () -> k pool)) );
+    ]
   in
-  Alcotest.(check (list int)) "ran at submission" [ 3; 2; 1 ] !log;
-  Alcotest.(check (list int)) "await returns values" [ 1; 2; 3 ]
-    (List.map Par.await fs)
+  List.iter
+    (fun (label, with_case) ->
+      with_case (fun pool ->
+          let me = (Domain.self () :> int) in
+          let log = ref [] in
+          let fs =
+            List.map
+              (fun i ->
+                let f =
+                  Par.submit pool (fun () ->
+                      log := (i, (Domain.self () :> int)) :: !log;
+                      i)
+                in
+                check_int (label ^ ": ran at submission") i (List.length !log);
+                f)
+              [ 1; 2; 3 ]
+          in
+          Alcotest.(check (list (pair int int)))
+            (label ^ ": in order, on the calling domain")
+            [ (3, me); (2, me); (1, me) ]
+            !log;
+          check_bool (label ^ ": not parallel") false (Par.Pool.parallel pool);
+          Alcotest.(check (list int))
+            (label ^ ": await returns values") [ 1; 2; 3 ]
+            (List.map Par.await fs)))
+    cases;
+  Par.Pool.with_pool ~jobs:4 (fun pool ->
+      check_bool "4 jobs, no ambient state: parallel" true
+        (Par.Pool.parallel pool))
 
 exception Boom of int
 

@@ -200,8 +200,8 @@ let test_stats_stddev () =
 
 let test_counter () =
   let c = Stats.Counter.create () in
-  Stats.Counter.incr c "a";
-  Stats.Counter.incr c "a";
+  Stats.Counter.add c "a" 1.0;
+  Stats.Counter.add c "a" 1.0;
   Stats.Counter.add c "b" 2.5;
   Alcotest.(check (float 1e-9)) "a" 2.0 (Stats.Counter.get c "a");
   Alcotest.(check (float 1e-9)) "b" 2.5 (Stats.Counter.get c "b");

@@ -3,7 +3,7 @@
    counts — plus exact event conservation against the engines' processed
    ledgers (through max_events cuts and a mid-run checkpoint slice),
    limiter-attribution and critical-path invariants, Chrome-lane
-   well-formedness, and the process-global collector's semantics. *)
+   well-formedness, and which sweep points return a group. *)
 
 module Time = M3v_sim.Time
 module Engine = M3v_sim.Engine
@@ -192,7 +192,7 @@ let test_chrome_lanes_well_formed () =
       | _ -> Alcotest.fail "no traceEvents array")
   | _ -> Alcotest.fail "chrome export is not a JSON object"
 
-(* --- Merging and the collector --- *)
+(* --- Merging and sweep groups --- *)
 
 let test_merge_groups_by_shard_count () =
   let run_one () =
@@ -209,29 +209,32 @@ let test_merge_groups_by_shard_count () =
   check_int "merged events sum" (Telemetry.events a + Telemetry.events b)
     (Telemetry.events m)
 
-let test_collector_registers_multi_shard_only () =
-  Telemetry.start_collecting ();
-  check_bool "collection open" true (Telemetry.collecting ());
-  let g1 : unit Shard.t = Shard.create ~lookahead:10 ~shards:1 () in
-  let g2 : unit Shard.t = Shard.create ~lookahead:10 ~shards:2 () in
-  let g4 : unit Shard.t = Shard.create ~lookahead:10 ~shards:4 () in
-  check_bool "K=1 reference group skipped" true
-    (Option.is_none (Shard.telemetry g1));
-  check_bool "K=2 group auto-enabled" true
-    (Option.is_some (Shard.telemetry g2));
-  let drained = Telemetry.stop_collecting () in
-  check_bool "collection closed" false (Telemetry.collecting ());
-  check_int "both multi-shard groups drained" 2 (List.length drained);
-  (match (drained, Shard.telemetry g2, Shard.telemetry g4) with
-  | [ a; b ], Some t2, Some t4 ->
-      check_bool "drained in registration order" true (a == t2 && b == t4)
-  | _ -> Alcotest.fail "collector drained unexpected contents");
-  check_int "second drain is empty" 0
-    (List.length (Telemetry.stop_collecting ()));
-  (* Outside a collection, create leaves telemetry off. *)
-  let g : unit Shard.t = Shard.create ~lookahead:10 ~shards:2 () in
-  check_bool "no auto-enable outside a collection" true
-    (Option.is_none (Shard.telemetry g))
+let test_sweep_returns_multi_shard_groups () =
+  (* 32 tiles = 2 clusters (K clamped to 2), 16 tiles = 1 cluster (K = 1,
+     the sequential reference shape: no group), 64 tiles = 4 clusters. *)
+  let r =
+    Exp_shard.run ~telemetry:true ~shards:4 ~chains_per_tile:2 ~hops:8
+      ~weight:16 ~tile_counts:[ 32; 16; 64 ] ()
+  in
+  (match List.map (fun p -> p.Exp_shard.p_telemetry) r.Exp_shard.points with
+  | [ Some t2; None; Some t4 ] ->
+      check_int "first group: 32 tiles, K=2" 2 (Telemetry.shards t2);
+      check_int "last group: 64 tiles, K=4" 4 (Telemetry.shards t4)
+  | _ -> Alcotest.fail "expected groups for the K>1 points only");
+  List.iter
+    (fun p ->
+      match p.Exp_shard.p_telemetry with
+      | Some tm ->
+          check_int "group events = point events" p.Exp_shard.p_events
+            (Telemetry.events tm)
+      | None -> check_int "no group at K=1" 1 p.Exp_shard.p_shards)
+    r.Exp_shard.points;
+  let off =
+    Exp_shard.run ~shards:4 ~chains_per_tile:2 ~hops:8 ~weight:16
+      ~tile_counts:[ 32 ] ()
+  in
+  check_bool "telemetry off: no group" true
+    (List.for_all (fun p -> p.Exp_shard.p_telemetry = None) off.Exp_shard.points)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -247,7 +250,9 @@ let suite =
       test_chrome_lanes_well_formed;
     Alcotest.test_case "merge_groups sums per shard count" `Quick
       test_merge_groups_by_shard_count;
+    (* Named for the process-global collector this contract used to live
+       in; the sweep now returns the groups itself, in point order. *)
     Alcotest.test_case "collector: multi-shard groups only, drained in order"
-      `Quick test_collector_registers_multi_shard_only;
+      `Quick test_sweep_returns_multi_shard_groups;
   ]
   @ qsuite [ prop_telemetry_transparent ]
