@@ -51,30 +51,6 @@ let sim_rpc_m3v () =
   in
   ignore r
 
-(* Shard count used by the sharded-scheduler benchmark below, recorded in
-   the report's config header. *)
-let bench_shards = 4
-
-(* One shard-sweep point, sequential pool: measures the scheduler's
-   window/flush machinery itself (both the shards=1 reference and the
-   sharded run, including the identity comparison), not Domain
-   parallelism — Bechamel numbers must stay single-threaded. *)
-let shard_sweep_small () =
-  ignore
-    (M3v.Exp_shard.run_point ~progress:false ~pool:M3v_par.Par.Pool.sequential
-       ~tiles:64 ~shards:bench_shards ~chains_per_tile:2 ~hops:8 ~weight:64
-       ~seed:1 ())
-
-(* Same point with per-window telemetry enabled on the sharded run: the
-   delta against shard_sweep prices the recording overhead (window
-   records, limiter attribution, imbalance histogram), gated in CI via
-   the committed baseline. *)
-let shard_telemetry_small () =
-  ignore
-    (M3v.Exp_shard.run_point ~progress:false ~telemetry:true
-       ~pool:M3v_par.Par.Pool.sequential ~tiles:64 ~shards:bench_shards
-       ~chains_per_tile:2 ~hops:8 ~weight:64 ~seed:1 ())
-
 let tests =
   [
     Test.make ~name:"table1_area" (Staged.stage table1_bench);
@@ -90,8 +66,6 @@ let tests =
     Test.make ~name:"ablation_fanin"
       (Staged.stage (fun () ->
            ignore (M3v.Exp_fanin.run ~msgs:10 ~sender_counts:[ 4; 16 ] ())));
-    Test.make ~name:"shard_sweep" (Staged.stage shard_sweep_small);
-    Test.make ~name:"shard_telemetry" (Staged.stage shard_telemetry_small);
     Test.make ~name:"ablation_migrate"
       (Staged.stage (fun () ->
            ignore (M3v.Exp_migrate.run ~rounds:60 ~rates:[ 10_000 ] ())));
@@ -178,7 +152,7 @@ let write_json ?jobs path estimates =
       ~ocaml_version:Sys.ocaml_version
       ~hostname:(try Unix.gethostname () with _ -> "unknown")
       ~jobs:(Option.value jobs ~default:1)
-      ~shards:bench_shards estimates
+      estimates
   in
   let oc = open_out path in
   Fun.protect

@@ -7,7 +7,6 @@ type report = {
   ocaml_version : string;
   hostname : string;
   jobs : int;
-  shards : int;
   results : result list;
 }
 
@@ -15,7 +14,7 @@ let schema_version = 2
 
 let make ?(git_sha = "unknown") ?(timestamp = "unknown")
     ?(ocaml_version = Sys.ocaml_version) ?(hostname = "unknown") ?(jobs = 1)
-    ?(shards = 1) results =
+    results =
   {
     schema_version;
     git_sha;
@@ -23,7 +22,6 @@ let make ?(git_sha = "unknown") ?(timestamp = "unknown")
     ocaml_version;
     hostname;
     jobs;
-    shards;
     results = List.map (fun (name, ns_per_run) -> { name; ns_per_run }) results;
   }
 
@@ -40,7 +38,6 @@ let to_json r =
     (Printf.sprintf "  \"ocaml_version\": %S,\n" r.ocaml_version);
   Buffer.add_string buf (Printf.sprintf "  \"hostname\": %S,\n" r.hostname);
   Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" r.jobs);
-  Buffer.add_string buf (Printf.sprintf "  \"shards\": %d,\n" r.shards);
   Buffer.add_string buf "  \"benchmarks\": [\n";
   let n = List.length r.results in
   List.iteri
@@ -266,10 +263,9 @@ let of_json text =
                   timestamp = str "timestamp" "unknown";
                   ocaml_version = str "ocaml_version" "unknown";
                   hostname = str "hostname" "unknown";
-                  (* jobs/shards arrived with schema 2; version-1 reports
-                     were always sequential and unsharded. *)
+                  (* jobs arrived with schema 2; version-1 reports were
+                     always sequential. *)
                   jobs = int "jobs" 1;
-                  shards = int "shards" 1;
                   results;
                 })
       | Some _ -> Error "\"benchmarks\" is not an array"
@@ -341,16 +337,16 @@ let pp_comparison ~threshold_pct ~baseline ~current ff cmp =
     | None -> Format.fprintf ff "%14s" "-"
   in
   let pp_meta ff r =
-    Format.fprintf ff "%s (%s, %s, jobs=%d, shards=%d)" r.git_sha r.timestamp
-      r.hostname r.jobs r.shards
+    Format.fprintf ff "%s (%s, %s, jobs=%d)" r.git_sha r.timestamp r.hostname
+      r.jobs
   in
   Format.fprintf ff "baseline: %a@." pp_meta baseline;
   Format.fprintf ff "current:  %a@." pp_meta current;
-  if baseline.jobs <> current.jobs || baseline.shards <> current.shards then
+  if baseline.jobs <> current.jobs then
     Format.fprintf ff
-      "  warning: config mismatch (baseline jobs=%d shards=%d, current jobs=%d \
-       shards=%d) — deltas compare different parallel configurations@."
-      baseline.jobs baseline.shards current.jobs current.shards;
+      "  warning: config mismatch (baseline jobs=%d, current jobs=%d) — \
+       deltas compare different parallel configurations@."
+      baseline.jobs current.jobs;
   Format.fprintf ff "@.  %-18s %14s %14s %9s@." "benchmark" "base ns/run"
     "cur ns/run" "delta";
   List.iter

@@ -21,9 +21,6 @@ type report = {
   jobs : int;
       (** Domain-pool size the bench ran with (schema >= 2; version-1
           reports parse as [1]) *)
-  shards : int;
-      (** shard count used by the sharded-scheduler benchmarks
-          (schema >= 2; version-1 reports parse as [1]) *)
   results : result list;
 }
 
@@ -56,7 +53,6 @@ val make :
   ?ocaml_version:string ->
   ?hostname:string ->
   ?jobs:int ->
-  ?shards:int ->
   (string * float option) list ->
   report
 

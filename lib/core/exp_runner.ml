@@ -156,7 +156,7 @@ let chaos ?trace ?faults ?(fault_seed = 7) ?jobs ?(seeds = 1)
       match Exp_chaos.resume ~file ?stop_after:(Option.bind stop_after opt) () with
       | Error msg ->
           Format.eprintf "m3vsim chaos: %s@." msg;
-          exit 1
+          exit 2
       | Ok outcome -> chaos_outcome outcome)
   | None, Some ms ->
       if Option.is_some trace then begin
@@ -182,42 +182,6 @@ let chaos ?trace ?faults ?(fault_seed = 7) ?jobs ?(seeds = 1)
           Exp_chaos.run_sweep ~pool ?spec ~seed:fault_seed ~seeds
             ?fs_rounds:(opt rounds) ?kv_ops:(opt ops) ()
           |> List.iter Exp_chaos.print)
-
-(* --telemetry prints the analyzer report of every multi-shard point to
-   stderr, deliberately: the tables vary with the shard count and carry
-   wall-clock times, while stdout must stay byte-identical with
-   telemetry on or off and across shards/jobs. *)
-let shard_sweep ?trace ?metrics ?(telemetry = false) ?jobs ?(shards = 4)
-    ?(seed = 1) ~chains ~hops ~weight ~tiles () =
-  let tile_counts = match tiles with [] -> None | l -> Some l in
-  observed ?trace ?metrics ?jobs (fun pool ->
-      let r =
-        Exp_shard.run ~pool ~telemetry ~shards ?chains_per_tile:(opt chains)
-          ?hops:(opt hops) ?weight:(opt weight) ~seed ?tile_counts ()
-      in
-      Exp_shard.print r;
-      if telemetry then
-        M3v_par.Telemetry.pp_groups Format.err_formatter
-          (List.filter_map (fun p -> p.Exp_shard.p_telemetry) r.points))
-
-(* shard-report: one sharded run with telemetry always on; the analyzer
-   tables are the subcommand's stdout deliverable.  [trace] dumps the
-   per-shard Chrome lanes (window spans and barrier gaps on wall-clock
-   axes), not a simulation trace. *)
-let shard_report ?jobs ?(shards = 4) ?(seed = 1) ?trace ~tiles ~chains ~hops
-    ~weight () =
-  Par.Pool.with_pool ?jobs (fun pool ->
-      let r =
-        Exp_shard.report ~pool ?tiles:(opt tiles) ~shards
-          ?chains_per_tile:(opt chains) ?hops:(opt hops) ?weight:(opt weight)
-          ~seed ()
-      in
-      Exp_shard.print_report r;
-      match trace with
-      | None -> ()
-      | Some path ->
-          M3v_par.Telemetry.write_chrome path r.Exp_shard.rep_telemetry;
-          Format.printf "@.shard lanes -> %s@." path)
 
 let table1 ?trace () =
   with_trace trace (fun () -> Exp_table1.print (Exp_table1.run ()))

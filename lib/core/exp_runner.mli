@@ -82,38 +82,15 @@ val migrate :
     many simulated milliseconds to [checkpoint_file]; [stop_after > 0]
     abandons the run after the [n]-th checkpoint (report suppressed —
     resume to finish); [resume:file] continues a checkpointed run instead
-    of starting one.  A resumed run's report is byte-identical to an
-    uninterrupted run's.  Checkpointing is single-seed and incompatible
+    of starting one; a missing, truncated or foreign file is bad input
+    (one-line error, exit 2).  A resumed run's report is byte-identical
+    to an uninterrupted run's.  Checkpointing is single-seed and incompatible
     with [trace]. *)
 val chaos :
   ?trace:string -> ?faults:string -> ?fault_seed:int -> ?jobs:int ->
   ?seeds:int -> ?checkpoint_every_ms:int ->
   ?checkpoint_file:string -> ?stop_after:int -> ?resume:string ->
   rounds:int -> ops:int -> unit -> unit
-
-(** Shard sweep ({!Exp_shard}): partitioned-parallel scaling of a
-    64-1024-tile clustered token-chain workload under the
-    conservative-lookahead scheduler.  Every point runs sequentially and
-    sharded and asserts identical results; wall-clock speedup goes to
-    stderr.  [chains]/[hops]/[weight] <= 0 and [tiles = []] pick the
-    defaults.  With [telemetry], every multi-shard point records
-    per-window telemetry ({!M3v_par.Telemetry}) and the merged analyzer
-    report prints to {e stderr}; stdout is byte-identical either way. *)
-val shard_sweep :
-  ?trace:string -> ?metrics:string -> ?telemetry:bool -> ?jobs:int ->
-  ?shards:int -> ?seed:int -> chains:int -> hops:int -> weight:int ->
-  tiles:int list -> unit -> unit
-
-(** Shard report ({!Exp_shard.report}): one sharded run of the same
-    workload with per-window telemetry always enabled, analyzed to
-    stdout — per-shard imbalance, limiter attribution, critical-path
-    speedup bound.  [?trace] writes the per-shard Chrome lanes (window
-    spans and barrier gaps on wall-clock axes, one pid per shard) — not
-    a simulation trace.  [tiles]/[chains]/[hops]/[weight] <= 0 pick the
-    defaults. *)
-val shard_report :
-  ?jobs:int -> ?shards:int -> ?seed:int -> ?trace:string -> tiles:int ->
-  chains:int -> hops:int -> weight:int -> unit -> unit
 
 val table1 : ?trace:string -> unit -> unit
 val complexity : unit -> unit

@@ -1,11 +1,11 @@
 (* Monotonic wall clock, shared by every wall-time measurement in the
-   tree (speedup reporting, shard telemetry, bench warmups).
+   tree (perfbench's wall, set-up and probe timings).
 
    CLOCK_MONOTONIC via bechamel's noalloc C stub: immune to NTP steps
-   and settimeofday, so elapsed times can't go negative and speedups
-   can't silently invert.  [Unix.gettimeofday] remains appropriate for
-   exactly one thing — stamping reports with a calendar date — and the
-   bench report header is its only remaining caller.
+   and settimeofday, so elapsed times can't go negative.
+   [Unix.gettimeofday] remains appropriate for exactly one thing —
+   stamping reports with a calendar date — and the bench report header
+   is its only remaining caller.
 
    Readings are int64 nanoseconds from an unspecified epoch: only
    differences are meaningful.  Nothing here ever touches simulated
@@ -20,8 +20,3 @@ let elapsed_ns ~since:(t0 : ns) : ns = Int64.sub (now_ns ()) t0
 let ns_to_s (d : ns) = Int64.to_float d /. 1e9
 
 let elapsed_s ~since = ns_to_s (elapsed_ns ~since)
-
-let timed f =
-  let t0 = now_ns () in
-  let r = f () in
-  (r, elapsed_s ~since:t0)

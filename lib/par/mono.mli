@@ -8,7 +8,7 @@
 
     Wall-clock readings must never enter simulated state or experiment
     output: they vary run to run and would break the byte-identity
-    contracts.  Telemetry keeps them in the side-channel report only. *)
+    contracts.  perfbench reports wall time outside experiment stdout. *)
 
 type ns = int64
 
@@ -20,9 +20,3 @@ val elapsed_ns : since:ns -> ns
 
 val elapsed_s : since:ns -> float
 (** Seconds elapsed since an earlier {!now_ns} reading. *)
-
-val ns_to_s : ns -> float
-(** Convert a nanosecond delta to seconds. *)
-
-val timed : (unit -> 'a) -> 'a * float
-(** [timed f] runs [f] and returns its result with elapsed seconds. *)

@@ -470,13 +470,6 @@ let test_bad_configs_rejected () =
       Alcotest.check_raises "migrate: run raises"
         (Invalid_argument ("exp_migrate: " ^ reason))
         (fun () -> ignore (Mg.run ~rates:[ 2_000; -5 ] ())));
-  let module S = M3v.Exp_shard in
-  (match S.validate ~tile_counts:[ 64; -64 ] with
-  | Ok () -> Alcotest.fail "shard-sweep: negative tile count accepted"
-  | Error reason ->
-      Alcotest.check_raises "shard-sweep: run raises"
-        (Invalid_argument ("exp_shard: " ^ reason))
-        (fun () -> ignore (S.run ~tile_counts:[ 64; -64 ] ())));
   check_bool "fanin: default and single-sender sweeps accepted" true
     (F.validate ~sender_counts:[] = Ok ()
     && F.validate ~sender_counts:[ 1 ] = Ok ())

@@ -299,7 +299,19 @@ let test_bench_io_roundtrip () =
   | Error msg -> Alcotest.failf "roundtrip failed: %s" msg
   | Ok r ->
       check_bool "report roundtrips" true (r = report);
-      check_string "escaped hostname survives" "ci \"box\" \\ 1" r.hostname
+      check_string "escaped hostname survives" "ci \"box\" \\ 1" r.hostname;
+      (* Committed v2 reports still carry the retired "shards" key. *)
+      let v2 =
+        {|{ "schema_version": 2, "git_sha": "abc123", "jobs": 1, "shards": 4,
+            "benchmarks": [ { "name": "fig6_rpc", "ns_per_run": 123456.5 },
+                            { "name": "fig9_scale", "ns_per_run": null } ] }|}
+      in
+      (match Bench_io.of_json v2 with
+      | Error msg -> Alcotest.failf "v2 report with shards rejected: %s" msg
+      | Ok old ->
+          check_int "v2 schema" 2 old.schema_version;
+          check_int "v2 jobs" 1 old.jobs;
+          check_bool "v2 results" true (old.results = report.results))
 
 let test_bench_io_rejects_garbage () =
   check_bool "not json" true (Result.is_error (Bench_io.of_json "pas du json"));
