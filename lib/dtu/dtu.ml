@@ -422,20 +422,22 @@ let restore_credit dst_dtu ~ep = restore_credit_n dst_dtu ~ep 1
    completion acknowledgement arrives within an exponentially growing
    window the command is reissued (same message uid, so the receiver
    deduplicates), and once the budget is exhausted it completes with
-   [Timeout].  The ladder is armed only while a fault plan is installed;
-   with faults off the first attempt is the only one and no timer is
-   created, keeping the fault-free timeline untouched. *)
+   [Timeout].  The ladder is armed only while a fault plan is installed.
+   With faults off no packet is lost or duplicated, so the first attempt
+   is the only one and completes exactly once: [with_retries] then runs
+   it directly, with no timer, no completion guard and nothing allocated,
+   keeping the fault-free timeline untouched. *)
 
 let retry_base_ps = 2_000_000 (* 2 us: many worst-case NoC round trips *)
 let max_retries = 6
 
-(* [with_retries t ~name ~k ~attempt] runs [attempt] under the ladder.
+(* [retry_ladder t ~name ~k ~attempt] runs [attempt] under the ladder.
    [attempt] receives [finish] (completes the command at most once; late
    and duplicated completions are ignored) and [active] (false once the
    command completed: in-flight copies of a closed transaction are
    discarded at arrival so they cannot perturb endpoint state that has
    already been settled, e.g. refunded credits). *)
-let with_retries t ~name ~k ~attempt =
+let retry_ladder t ~name ~k ~attempt =
   let done_ = ref false in
   let finish result =
     if not !done_ then begin
@@ -475,6 +477,15 @@ let with_retries t ~name ~k ~attempt =
     end
   in
   go 0
+
+(* Without a fault plan the single attempt gets [k] itself as [finish] and
+   an [active] that stays true: nothing can complete it twice, and nothing
+   arrives after it completed. *)
+let always_active () = true
+
+let with_retries t ~name ~k ~attempt =
+  if Fault.on () then retry_ladder t ~name ~k ~attempt
+  else attempt ~active:always_active ~finish:k
 
 (* --- unprivileged commands --- *)
 
@@ -980,38 +991,52 @@ let ext_read_ep t ~ep =
   check_ep_index t ep;
   Ep.snapshot t.eps.(ep)
 
-let ext_snapshot_eps t ~first ~count =
-  check_ep_index t first;
-  check_ep_index t (first + count - 1);
-  Array.init count (fun i -> Ep.snapshot t.eps.(first + i))
+(* Everything [ext_invalidate] does, but the slot gets a fresh Invalid
+   record and the live one goes to the caller, receive queue and all:
+   saving an endpoint moves it instead of copying it. *)
+let ext_take_ep t ~ep =
+  check_ep_index t ep;
+  invalidate_ep_cache t;
+  Hashtbl.remove t.pending_refunds ep;
+  Hashtbl.remove t.moved ep;
+  let live = t.eps.(ep) in
+  t.eps.(ep) <- Ep.make_invalid ();
+  live
+
+(* Make [saved] the live record of slot [idx]. *)
+let install_ep t ~ctx idx (saved : Ep.t) =
+  check_ep_index t idx;
+  Ep.validate_config ~ctx saved.Ep.cfg;
+  (* The slot is live again: a forwarding pointer left behind when a
+     previous tenant vacated it must not hijack (and ping-pong) the
+     restored endpoint's traffic.  Without this, the third hop of a
+     migration that revisits a tile chases stale [moved] entries in a
+     cycle until the hop budget runs out and delivers wherever the
+     chase happens to stop. *)
+  Hashtbl.remove t.moved idx;
+  t.eps.(idx) <- saved;
+  (* A refund that arrived while this slot sat Invalid (saved but not
+     yet restored) was parked; re-apply it now so the restored send
+     endpoint is not short of credits, capped at max_credits. *)
+  match saved.Ep.cfg with
+  | Ep.Send s -> (
+      match Hashtbl.find_opt t.pending_refunds idx with
+      | Some n ->
+          Hashtbl.remove t.pending_refunds idx;
+          s.Ep.credits <- min s.Ep.max_credits (s.Ep.credits + n);
+          Ep.check_credits ~ctx s
+      | None -> ())
+  | _ -> Hashtbl.remove t.pending_refunds idx
+
+let ext_put_ep t ~ep saved =
+  invalidate_ep_cache t;
+  install_ep t ~ctx:"ext_put_ep" ep saved
 
 let ext_restore_eps t ~first eps =
   invalidate_ep_cache t;
   Array.iteri
     (fun i saved ->
-      let idx = first + i in
-      check_ep_index t idx;
-      Ep.validate_config ~ctx:"ext_restore_eps" saved.Ep.cfg;
-      (* The slot is live again: a forwarding pointer left behind when a
-         previous tenant vacated it must not hijack (and ping-pong) the
-         restored endpoint's traffic.  Without this, the third hop of a
-         migration that revisits a tile chases stale [moved] entries in a
-         cycle until the hop budget runs out and delivers wherever the
-         chase happens to stop. *)
-      Hashtbl.remove t.moved idx;
-      t.eps.(idx) <- Ep.snapshot saved;
-      (* A refund that arrived while this slot sat Invalid (saved but not
-         yet restored) was parked; re-apply it now so the restored send
-         endpoint is not short of credits, capped at max_credits. *)
-      match t.eps.(idx).Ep.cfg with
-      | Ep.Send s -> (
-          match Hashtbl.find_opt t.pending_refunds idx with
-          | Some n ->
-              Hashtbl.remove t.pending_refunds idx;
-              s.Ep.credits <- min s.Ep.max_credits (s.Ep.credits + n);
-              Ep.check_credits ~ctx:"ext_restore_eps" s
-          | None -> ())
-      | _ -> Hashtbl.remove t.pending_refunds idx)
+      install_ep t ~ctx:"ext_restore_eps" (first + i) (Ep.snapshot saved))
     eps
 
 let ext_inject t ~ep msg =

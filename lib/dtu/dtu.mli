@@ -150,9 +150,22 @@ val ext_config : t -> ep:int -> owner:Dtu_types.act_id -> Ep.config -> unit
 val ext_invalidate : t -> ep:int -> unit
 val ext_read_ep : t -> ep:int -> Ep.t
 
-(** Save / restore a contiguous endpoint range (M3x remote multiplexing). *)
-val ext_snapshot_eps : t -> first:int -> count:int -> Ep.t array
+(** [ext_take_ep t ~ep] vacates a slot for M3x remote multiplexing: it
+    does everything {!ext_invalidate} does (drops parked refunds and any
+    forwarding pointer), puts a fresh Invalid record in the slot and
+    returns the live one, buffered messages included.  Nothing is copied;
+    the caller owns the record until {!ext_put_ep}. *)
+val ext_take_ep : t -> ep:int -> Ep.t
 
+(** [ext_put_ep t ~ep saved] installs a record from {!ext_take_ep} as the
+    slot's live endpoint (the same record, not a copy), with
+    {!ext_restore_eps}'s checks: the config is validated, a stale
+    forwarding pointer is dropped, and refunds parked while the slot was
+    Invalid are applied to a send endpoint capped at its maximum. *)
+val ext_put_ep : t -> ep:int -> Ep.t -> unit
+
+(** Install deep copies of [eps] into the slots from [first] on, with the
+    checks of {!ext_put_ep} (live migration). *)
 val ext_restore_eps : t -> first:int -> Ep.t array -> unit
 
 (** Deliver a message into a local receive endpoint on behalf of the

@@ -89,7 +89,8 @@ val check_credits : ctx:string -> send -> unit
     (restore / ext_config): credit and occupancy bounds. *)
 val validate_config : ctx:string -> config -> unit
 
-(** Deep copy, used by the M3x controller to save endpoint state. *)
+(** Deep copy, used where endpoint state is read or copied between DTUs
+    (live migration); an M3x switch moves the record instead. *)
 val snapshot : t -> t
 
 val pp : Format.formatter -> t -> unit

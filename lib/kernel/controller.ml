@@ -403,19 +403,19 @@ let mx_stub t tile =
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Controller: no M3x stub on tile %d" tile)
 
+(* Switching out moves the activity's endpoint records off the DTU (the
+   slots go Invalid) and switching in puts the same records back: the
+   state is moved, never copied.  The simulated cost of the transfer is
+   charged by the caller from [ep_list]. *)
 let snapshot_eps t st a =
   let dtu = Platform.dtu t.platform a.a_tile in
-  let snap = List.map (fun ep -> (ep, Dtu.ext_read_ep dtu ~ep)) a.ep_list in
-  List.iter (fun ep -> Dtu.ext_invalidate dtu ~ep) a.ep_list;
+  let snap = List.map (fun ep -> (ep, Dtu.ext_take_ep dtu ~ep)) a.ep_list in
   Hashtbl.replace st.snapshots a.aid snap
 
 let restore_eps t st a =
   let dtu = Platform.dtu t.platform a.a_tile in
   (match Hashtbl.find_opt st.snapshots a.aid with
-  | Some snap ->
-      List.iter
-        (fun (ep, saved) -> Dtu.ext_restore_eps dtu ~first:ep [| saved |])
-        snap
+  | Some snap -> List.iter (fun (ep, saved) -> Dtu.ext_put_ep dtu ~ep saved) snap
   | None -> ());
   Hashtbl.remove st.snapshots a.aid
 

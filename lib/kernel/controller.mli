@@ -178,9 +178,9 @@ val register_tm_rgate : t -> tile:int -> ep:int -> unit
 
 val register_mx_stub : t -> tile:int -> mx_stub -> unit
 
-(** Register an activity with the M3x scheduler: its endpoints are
-    snapshotted and parked; the activity becomes ready and will be switched
-    in when the controller decides. *)
+(** Register an activity with the M3x scheduler: its endpoint records are
+    taken off the DTU and parked; the activity becomes ready and will be
+    switched in when the controller decides. *)
 val mx_register_act : t -> act:M3v_dtu.Dtu_types.act_id -> unit
 
 (** Start M3x scheduling on a tile after boot (switches the first ready

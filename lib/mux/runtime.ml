@@ -58,9 +58,16 @@ type arec = {
   mutable stall_since : Time.t;
   mutable wait_token : int;
       (** invalidates stale recv-deadline timers (fault injection) *)
-  mutable cur_action : Proc.action option;
+  mutable cur_action : Proc.action;
       (** the pure action whose interpretation is in progress — what a
-          migration parks when the activity is blocked in a receive *)
+          migration parks when the activity is blocked in a receive;
+          [Finished] while there is none *)
+  mutable on_resp : Proc.resp -> unit;
+      (** [resume_op] for this activity, built once at spawn/install: the
+          continuation every op completes with.  It resumes the [Request]
+          in [cur_action], which is sound because an activity has at most
+          one op in flight — the interpreter starts the next op only from
+          the previous one's response. *)
   mutable mig_park : (Controller.mig_image option -> unit) option;
       (** pending quiesce: park at the next TMCall boundary *)
   mutable mig_action : Proc.action option;
@@ -659,12 +666,17 @@ and exec t (a : arec) (action : Proc.action) =
 
 and exec_steps t (a : arec) = function
   | Proc.Finished -> act_finished t a ~code:0
-  | Proc.Request (op, k) as action ->
+  | Proc.Request (op, _) as action ->
       (* Remember the op being interpreted: if the activity blocks inside
          it and a migration parks it there, the target replays exactly
          this action. *)
-      a.cur_action <- Some action;
-      interp t a op (fun resp -> exec t a (k resp))
+      a.cur_action <- action;
+      interp t a op a.on_resp
+
+and resume_op t (a : arec) resp =
+  match a.cur_action with
+  | Proc.Request (_, k) -> exec t a (k resp)
+  | Proc.Finished -> failwith "Runtime: op response with no op in flight"
 
 and interp t (a : arec) op (k : Proc.resp -> unit) =
   (* Every TMCall boundary is a crash/hang injection point. *)
@@ -1110,7 +1122,10 @@ let mig_quiesce t ~act ~k =
           (* Blocked inside a receive that consumed nothing: park the
              recorded [Op_recv] action and replay it on the target. *)
           a.mig_park <- Some k;
-          mig_park_now t a a.cur_action
+          mig_park_now t a
+            (match a.cur_action with
+            | Proc.Finished -> None
+            | action -> Some action)
       | Ready | Running | Stalled | Blocked_fault | Migrating ->
           (* Mid-op (or mid-pager-round-trip): park at the next TMCall
              boundary the interpreter reaches. *)
@@ -1149,11 +1164,13 @@ let mig_install t ~image ~sys_sgate ~sys_rgate =
           wake_sent = false;
           stall_since = Time.zero;
           wait_token = 0;
-          cur_action = im_action;
+          cur_action = Option.value im_action ~default:Proc.Finished;
+          on_resp = ignore;
           mig_park = None;
           mig_action = im_action;
         }
       in
+      a.on_resp <- resume_op t a;
       Hashtbl.replace t.acts im_aid a;
       t.spawn_order <- t.spawn_order @ [ im_aid ];
       t.ctr.mig_install <- t.ctr.mig_install + 1;
@@ -1321,11 +1338,13 @@ let spawn t ~name ?(premap = true) ~program () =
       wake_sent = false;
       stall_since = Time.zero;
       wait_token = 0;
-      cur_action = None;
+      cur_action = Proc.Finished;
+      on_resp = ignore;
       mig_park = None;
       mig_action = None;
     }
   in
+  a.on_resp <- resume_op t a;
   Hashtbl.replace t.acts aid a;
   t.spawn_order <- t.spawn_order @ [ aid ];
   (aid, env)

@@ -59,24 +59,25 @@ let flits_of_bytes t bytes =
 (* Loopback (src = dst) stays inside the DTU: charge one hop. *)
 let loopback_latency t = t.params.hop_latency_ps
 
+(* A plain loop over the tabled route keeps a send allocation-free. *)
 let transfer_time t ~record ~start route flits =
   let serialization = flits * t.params.ps_per_flit in
   let arrival = ref start in
-  List.iter
-    (fun link ->
-      let begin_at = Time.max !arrival t.free_at.(link) in
-      if record then begin
-        t.free_at.(link) <- Time.add begin_at serialization;
-        t.stats.link_busy_ps <- t.stats.link_busy_ps + serialization;
-        if Metrics.on () then begin
-          let name = Topology.link_name t.topo link in
-          Metrics.counter_add ~name:"noc/link_busy_ps" ~cat:name
-            (float_of_int serialization);
-          Metrics.counter_incr ~name:"noc/link_pkts" ~cat:name ()
-        end
-      end;
-      arrival := Time.add begin_at t.params.hop_latency_ps)
-    route;
+  for i = 0 to Array.length route - 1 do
+    let link = route.(i) in
+    let begin_at = Time.max !arrival t.free_at.(link) in
+    if record then begin
+      t.free_at.(link) <- Time.add begin_at serialization;
+      t.stats.link_busy_ps <- t.stats.link_busy_ps + serialization;
+      if Metrics.on () then begin
+        let name = Topology.link_name t.topo link in
+        Metrics.counter_add ~name:"noc/link_busy_ps" ~cat:name
+          (float_of_int serialization);
+        Metrics.counter_incr ~name:"noc/link_pkts" ~cat:name ()
+      end
+    end;
+    arrival := Time.add begin_at t.params.hop_latency_ps
+  done;
   (* The tail flit lands one serialization window after the head. *)
   Time.add !arrival serialization
 
@@ -84,8 +85,7 @@ let uncontended_latency t ~src ~dst ~bytes =
   let flits = flits_of_bytes t bytes in
   if src = dst then loopback_latency t
   else
-    let route = Topology.route t.topo ~src ~dst in
-    let hops = List.length route in
+    let hops = Array.length (Topology.route_links t.topo ~src ~dst) in
     (hops * t.params.hop_latency_ps) + (flits * t.params.ps_per_flit)
 
 (* One physical copy of a packet: route it, account link occupancy, and
@@ -96,8 +96,9 @@ let send_one t ~src ~dst ~bytes ~extra ~on_delivered =
   let arrival =
     if src = dst then Time.add now (loopback_latency t)
     else
-      let route = Topology.route t.topo ~src ~dst in
-      transfer_time t ~record:true ~start:now route flits
+      transfer_time t ~record:true ~start:now
+        (Topology.route_links t.topo ~src ~dst)
+        flits
   in
   let arrival = Time.add arrival extra in
   t.stats.packets <- t.stats.packets + 1;

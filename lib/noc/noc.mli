@@ -1,6 +1,8 @@
 (** The network-on-chip transport.
 
-    Packets are flit streams pushed over the precomputed route.  Each
+    Packets are flit streams pushed over the route the {!Topology} table
+    built at create time; sending one walks that table entry and
+    allocates nothing beyond the scheduled callback.  Each
     directed link keeps a [free_at] horizon: a packet starts crossing a link
     no earlier than the link is free, which models serialization and
     contention without simulating individual flits.  Delivery invokes a

@@ -1,17 +1,13 @@
+(* Link id layout: [0, tiles) injection; [tiles, 2*tiles) ejection;
+   [2*tiles, ...) router-router edges in [edges] order. *)
 type t = {
   tiles : int;
   routers : int;
-  tile_router : int array; (* router each tile attaches to *)
-  edges : (int * int) array; (* directed router-router edges *)
-  edge_index : (int * int, int) Hashtbl.t;
-  next_hop : int array array; (* next_hop.(from_router).(to_router) = router *)
+  routes : int array array;
+      (* routes.(src * tiles + dst): the link ids from tile [src] to tile
+         [dst], filled once by [build] *)
+  link_names : string array; (* indexed by link id *)
 }
-
-(* Link id layout: [0, tiles) injection; [tiles, 2*tiles) ejection;
-   [2*tiles, ...) router-router edges in [edges] order. *)
-let inject_link t tile = ignore t; tile
-let eject_link t tile = t.tiles + tile
-let edge_link t idx = (2 * t.tiles) + idx
 
 let build ~tiles ~routers ~tile_router ~undirected_edges =
   if tiles < 1 then invalid_arg "Topology: need at least one tile";
@@ -21,6 +17,7 @@ let build ~tiles ~routers ~tile_router ~undirected_edges =
   in
   let edge_index = Hashtbl.create 16 in
   Array.iteri (fun i e -> Hashtbl.replace edge_index e i) edges;
+  let edge_link idx = (2 * tiles) + idx in
   (* BFS from every router to fill the next-hop matrix. *)
   let adj = Array.make routers [] in
   Array.iter (fun (a, b) -> adj.(a) <- b :: adj.(a)) edges;
@@ -50,7 +47,33 @@ let build ~tiles ~routers ~tile_router ~undirected_edges =
       else next_hop.(src).(dst) <- first.(dst)
     done
   done;
-  { tiles; routers; tile_router; edges; edge_index; next_hop }
+  (* Walk the next-hop matrix once per tile pair: injection link, the
+     router-router links, ejection link. *)
+  let route src dst =
+    if src = dst then [||]
+    else begin
+      let r_dst = tile_router.(dst) in
+      let rec walk r acc =
+        if r = r_dst then List.rev acc
+        else
+          let next = next_hop.(r).(r_dst) in
+          walk next (edge_link (Hashtbl.find edge_index (r, next)) :: acc)
+      in
+      Array.of_list ((src :: walk tile_router.(src) []) @ [ tiles + dst ])
+    end
+  in
+  let routes =
+    Array.init (tiles * tiles) (fun i -> route (i / tiles) (i mod tiles))
+  in
+  let link_names =
+    Array.init ((2 * tiles) + Array.length edges) (fun id ->
+        if id < tiles then Printf.sprintf "tile%d->noc" id
+        else if id < 2 * tiles then Printf.sprintf "noc->tile%d" (id - tiles)
+        else
+          let a, b = edges.(id - (2 * tiles)) in
+          Printf.sprintf "r%d->r%d" a b)
+  in
+  { tiles; routers; routes; link_names }
 
 let spread_tiles ~tiles ~routers =
   Array.init tiles (fun i -> i mod routers)
@@ -87,36 +110,15 @@ let single_router ~tiles =
 
 let tiles t = t.tiles
 let routers t = t.routers
-let link_count t = (2 * t.tiles) + Array.length t.edges
+let link_count t = Array.length t.link_names
 
-let route t ~src ~dst =
+let route_links t ~src ~dst =
   if src < 0 || src >= t.tiles || dst < 0 || dst >= t.tiles then
     invalid_arg "Topology.route: tile out of range";
-  if src = dst then []
-  else begin
-    let r_src = t.tile_router.(src) and r_dst = t.tile_router.(dst) in
-    let rec walk r acc =
-      if r = r_dst then List.rev acc
-      else
-        let next = t.next_hop.(r).(r_dst) in
-        let edge = Hashtbl.find t.edge_index (r, next) in
-        walk next (edge_link t edge :: acc)
-    in
-    (inject_link t src :: walk r_src []) @ [ eject_link t dst ]
-  end
+  t.routes.((src * t.tiles) + dst)
 
-let hops t ~src ~dst =
-  if src = dst then 0
-  else
-    let rec count r acc =
-      let r_dst = t.tile_router.(dst) in
-      if r = r_dst then acc else count t.next_hop.(r).(r_dst) (acc + 1)
-    in
-    count t.tile_router.(src) 0
+let route t ~src ~dst = Array.to_list (route_links t ~src ~dst)
 
-let link_name t id =
-  if id < t.tiles then Printf.sprintf "tile%d->noc" id
-  else if id < 2 * t.tiles then Printf.sprintf "noc->tile%d" (id - t.tiles)
-  else
-    let a, b = t.edges.(id - (2 * t.tiles)) in
-    Printf.sprintf "r%d->r%d" a b
+let hops t ~src ~dst = max 0 (Array.length (route_links t ~src ~dst) - 2)
+
+let link_name t id = t.link_names.(id)

@@ -3,7 +3,9 @@
     A topology connects [tiles] tiles through routers.  Every tile has a
     dedicated injection link (tile -> router) and ejection link
     (router -> tile); routers are connected by directed links.  Routes are
-    shortest paths, precomputed and deterministic. *)
+    deterministic shortest paths, built once at create time into a table
+    indexed by (source, destination) tile; looking one up allocates
+    nothing. *)
 
 type t
 
@@ -26,12 +28,20 @@ val routers : t -> int
 (** Total number of directed links (tile links + router links). *)
 val link_count : t -> int
 
-(** [route t ~src ~dst] is the ordered list of directed link ids a packet
-    traverses from tile [src] to tile [dst].  [src = dst] yields []. *)
+(** [route_links t ~src ~dst] is the ordered array of directed link ids a
+    packet traverses from tile [src] to tile [dst] (injection link, router
+    links, ejection link); [src = dst] yields [[||]].  The array is the
+    table's own entry: callers must not mutate it.  Raises
+    [Invalid_argument] on a tile out of range. *)
+val route_links : t -> src:int -> dst:int -> int array
+
+(** {!route_links} as a fresh list. *)
 val route : t -> src:int -> dst:int -> int list
 
-(** Number of router-to-router hops between two tiles. *)
+(** Number of router-to-router hops between two tiles; raises
+    [Invalid_argument] on a tile out of range, like {!route_links}. *)
 val hops : t -> src:int -> dst:int -> int
 
-(** Human-readable link name, for stats reporting. *)
+(** Human-readable link name, for stats reporting.  Built once with the
+    route table. *)
 val link_name : t -> int -> string

@@ -9,8 +9,8 @@ let s x = x * 1_000_000_000_000
 let add = ( + )
 let sub = ( - )
 let compare = Int.compare
-let min = Stdlib.min
-let max = Stdlib.max
+let min = Int.min
+let max = Int.max
 let to_ns t = float_of_int t /. 1e3
 let to_us t = float_of_int t /. 1e6
 let to_ms t = float_of_int t /. 1e9

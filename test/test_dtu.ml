@@ -275,18 +275,21 @@ let test_ep_snapshot_restore () =
   let f = make_fabric () in
   setup_channel f;
   ignore (send_ok f ~size:8 (Ping 77));
-  (* Save the receiver's endpoint (including the buffered message),
-     invalidate, then restore: the message must survive (M3x switch). *)
-  let saved = Dtu.ext_snapshot_eps f.d1 ~first:1 ~count:1 in
-  Dtu.ext_invalidate f.d1 ~ep:1;
+  (* Move the receiver's endpoint (including the buffered message) off the
+     DTU, then put it back: the slot is gone in between, and the very same
+     record returns with the message (M3x switch). *)
+  let saved = Dtu.ext_take_ep f.d1 ~ep:1 in
   (match Dtu.fetch f.d1 ~ep:1 with
   | Error Dtu_types.No_such_ep -> ()
-  | _ -> Alcotest.fail "invalidated ep must be gone");
-  Dtu.ext_restore_eps f.d1 ~first:1 saved;
+  | _ -> Alcotest.fail "taken ep must be gone");
+  Dtu.ext_put_ep f.d1 ~ep:1 saved;
+  let again = Dtu.ext_take_ep f.d1 ~ep:1 in
+  check_bool "put installs the saved record itself" true (again == saved);
+  Dtu.ext_put_ep f.d1 ~ep:1 again;
   match Dtu.fetch f.d1 ~ep:1 with
   | Ok (Some msg) -> (
       match msg.Msg.data with Ping 77 -> () | _ -> Alcotest.fail "payload lost")
-  | _ -> Alcotest.fail "message lost across snapshot/restore"
+  | _ -> Alcotest.fail "message lost across take/put"
 
 let test_ext_inject () =
   let f = make_fabric () in
@@ -527,9 +530,10 @@ let test_mpmc_full_ring_backpressure () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "send after drain: %s" (Dtu_types.error_to_string e)
 
-(* A batched refund that lands while the sender's endpoint sits in an
-   M3x-style snapshot window (Invalid) must be parked and re-applied on
-   restore — not dropped (credit leak) and never applied twice. *)
+(* A batched refund that lands while the sender's endpoint is taken off
+   the DTU in an M3x-style switch window (slot Invalid) must be parked and
+   re-applied on put, capped at the maximum — not dropped (credit leak)
+   and never applied twice. *)
 let test_mpmc_refund_survives_snapshot_window () =
   let f = make_fabric () in
   setup_mpmc ~credits:2 ~slots:8 ~ack_batch:100 f;
@@ -539,8 +543,7 @@ let test_mpmc_refund_survives_snapshot_window () =
   (match send_from f ~ep:1 ~size:8 (Ping 2) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "send 2");
-  let saved = Dtu.ext_snapshot_eps f.d0 ~first:1 ~count:1 in
-  Dtu.ext_invalidate f.d0 ~ep:1;
+  let saved = Dtu.ext_take_ep f.d0 ~ep:1 in
   (* Draining the ring flushes the batched refund into the Invalid slot. *)
   for _ = 1 to 2 do
     match Dtu.fetch f.d1 ~ep:1 with
@@ -548,8 +551,13 @@ let test_mpmc_refund_survives_snapshot_window () =
     | _ -> Alcotest.fail "fetch"
   done;
   ignore (Engine.run f.eng);
-  Dtu.ext_restore_eps f.d0 ~first:1 saved;
-  check_int "parked refunds applied on restore" 2 (sender_credits f ~ep:1);
+  (* One more parked credit than the endpoint lacks: the put caps it. *)
+  Dtu.ext_park_refund f.d0 ~ep:1 1;
+  Dtu.ext_put_ep f.d0 ~ep:1 saved;
+  check_int "parked refunds applied on put, capped" 2 (sender_credits f ~ep:1);
+  (match saved.Ep.cfg with
+  | Ep.Send s -> check_int "applied to the saved record itself" 2 s.Ep.credits
+  | _ -> Alcotest.fail "saved record is not a send endpoint");
   match send_from f ~ep:1 ~size:8 (Ping 3) with
   | Ok () -> ()
   | Error e ->

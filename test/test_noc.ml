@@ -44,6 +44,81 @@ let test_single_router () =
   check_int "hops always zero" 0 (Topology.hops topo ~src:0 ~dst:3);
   check_int "route = inject + eject" 2 (List.length (Topology.route topo ~src:0 ~dst:3))
 
+(* An independent reference for the route table: from each router on the
+   way, a BFS (neighbours in ascending order) picks the first hop toward
+   the destination router.  The router graph is
+   read back from the "rA->rB" link names; every constructor spreads tiles
+   round-robin over the routers. *)
+let reference_route topo ~src ~dst =
+  let tiles = Topology.tiles topo and routers = Topology.routers topo in
+  let edges =
+    List.init
+      (Topology.link_count topo - (2 * tiles))
+      (fun i ->
+        Scanf.sscanf
+          (Topology.link_name topo ((2 * tiles) + i))
+          "r%d->r%d"
+          (fun a b -> (a, b)))
+  in
+  let neighbours r =
+    List.sort compare (List.filter_map (fun (a, b) -> if a = r then Some b else None) edges)
+  in
+  let first_hop ~from ~target =
+    let parent = Array.make routers (-1) in
+    parent.(from) <- from;
+    let queue = Queue.create () in
+    Queue.add from queue;
+    while not (Queue.is_empty queue) do
+      let u = Queue.pop queue in
+      List.iter
+        (fun v ->
+          if parent.(v) < 0 then begin
+            parent.(v) <- u;
+            Queue.add v queue
+          end)
+        (neighbours u)
+    done;
+    let rec back v = if parent.(v) = from then v else back parent.(v) in
+    back target
+  in
+  let rec index_of x i = function
+    | [] -> Alcotest.fail "edge missing"
+    | y :: rest -> if x = y then i else index_of x (i + 1) rest
+  in
+  let r_dst = dst mod routers in
+  let rec walk r =
+    if r = r_dst then []
+    else
+      let next = first_hop ~from:r ~target:r_dst in
+      ((2 * tiles) + index_of (r, next) 0 edges) :: walk next
+  in
+  if src = dst then [] else (src :: walk (src mod routers)) @ [ tiles + dst ]
+
+let test_route_table_matches_bfs () =
+  List.iter
+    (fun (name, topo) ->
+      let tiles = Topology.tiles topo in
+      for src = 0 to tiles - 1 do
+        for dst = 0 to tiles - 1 do
+          let expect = reference_route topo ~src ~dst in
+          let label = Printf.sprintf "%s %d->%d" name src dst in
+          Alcotest.(check (list int)) label expect (Topology.route topo ~src ~dst);
+          check_int (label ^ " hops")
+            (max 0 (List.length expect - 2))
+            (Topology.hops topo ~src ~dst)
+        done
+      done;
+      Alcotest.check_raises (name ^ " hops out of range")
+        (Invalid_argument "Topology.route: tile out of range") (fun () ->
+          ignore (Topology.hops topo ~src:0 ~dst:tiles)))
+    [
+      ("star-mesh/4", Topology.star_mesh_2x2 ~tiles:4);
+      ("star-mesh/12", Topology.star_mesh_2x2 ~tiles:12);
+      ("mesh 3x2", Topology.mesh ~cols:3 ~rows:2 ~tiles:12);
+      ("ring/5", Topology.ring ~routers:5 ~tiles:10);
+      ("single router", Topology.single_router ~tiles:4);
+    ]
+
 let make_noc ?(tiles = 8) () =
   let eng = Engine.create () in
   let topo = Topology.star_mesh_2x2 ~tiles in
@@ -104,6 +179,24 @@ let test_stats () =
   Noc.reset_stats noc;
   check_int "reset" 0 (Noc.stats noc).Noc.packets
 
+(* Routing walks the precomputed table: once the event queue is sized, a
+   cross-mesh send allocates nothing (trace and metrics off). *)
+let test_send_allocates_nothing () =
+  let eng, noc = make_noc () in
+  let on_delivered () = () in
+  let batch () =
+    for _ = 1 to 1000 do
+      Noc.send noc ~src:0 ~dst:3 ~bytes:64 ~on_delivered
+    done
+  in
+  batch ();
+  ignore (Engine.run eng);
+  let before = Gc.minor_words () in
+  batch ();
+  let after = Gc.minor_words () in
+  ignore (Engine.run eng);
+  check_int "minor words per send" 0 (int_of_float ((after -. before) /. 1000.))
+
 let test_bandwidth_larger_packets_slower =
   QCheck.Test.make ~name:"noc latency monotone in size" ~count:50
     QCheck.(pair (int_range 1 2000) (int_range 1 2000))
@@ -124,5 +217,7 @@ let suite =
     ("disjoint paths parallel", `Quick, test_disjoint_paths_parallel);
     ("loopback", `Quick, test_loopback);
     ("stats", `Quick, test_stats);
+    ("route table matches BFS", `Quick, test_route_table_matches_bfs);
+    ("send allocates nothing", `Quick, test_send_allocates_nothing);
   ]
   @ [ QCheck_alcotest.to_alcotest test_bandwidth_larger_packets_slower ]
